@@ -26,15 +26,37 @@ use ravel_sim::{Dur, Time};
 use crate::packet::Packet;
 
 /// Sender-side packet history for retransmission.
+///
+/// Every sequence number comes from one session-wide counter and
+/// retention is bounded by age and count, so the live seqs span a short
+/// range: the history is a dense window of slots indexed by
+/// `seq - base`, O(1) per store, eviction and lookup. The window allows
+/// holes (audio seqs are stored at their tick, video seqs later, at
+/// pacer release) and grows at the front when a retransmission re-stores
+/// a seq whose original entry was already evicted. Its memory is
+/// proportional to that seq span.
+///
+/// Retention is decided by the time-ordered queue of stores, exactly as
+/// a map keyed by seq would decide it:
+///
+/// * evicting *any* queue entry for a seq clears that seq, even if it
+///   was re-stored later;
+/// * `max_count` bounds the queue, so re-stores count toward it;
+/// * [`RtxBuffer::len`] counts live packets, not queue entries.
 #[derive(Debug, Clone)]
 pub struct RtxBuffer {
-    /// Retained packets by sequence number.
-    packets: BTreeMap<u64, Packet>,
+    /// Slot `i` holds seq `base + i`; `None` is a hole. The front slot
+    /// is always live (the window is trimmed after every eviction).
+    slots: VecDeque<Option<Packet>>,
+    /// Seq of the front slot (meaningless while `slots` is empty).
+    base: u64,
+    /// Occupied slots.
+    live: usize,
     /// Insertion order for age eviction: (send time, seq).
     order: VecDeque<(Time, u64)>,
     /// Maximum retention age.
     max_age: Dur,
-    /// Maximum retained packets.
+    /// Maximum retained stores (re-stores included).
     max_count: usize,
     retransmissions: u64,
 }
@@ -45,7 +67,9 @@ impl RtxBuffer {
     pub fn new(max_age: Dur, max_count: usize) -> RtxBuffer {
         assert!(max_count > 0, "RtxBuffer: zero capacity");
         RtxBuffer {
-            packets: BTreeMap::new(),
+            slots: VecDeque::new(),
+            base: 0,
+            live: 0,
             order: VecDeque::new(),
             max_age,
             max_count,
@@ -55,12 +79,12 @@ impl RtxBuffer {
 
     /// Packets currently retained.
     pub fn len(&self) -> usize {
-        self.packets.len()
+        self.live
     }
 
     /// True if no packets are retained.
     pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
+        self.live == 0
     }
 
     /// Total retransmissions served.
@@ -70,8 +94,25 @@ impl RtxBuffer {
 
     /// Records a packet as sent at `now`.
     pub fn store(&mut self, packet: &Packet, now: Time) {
-        self.packets.insert(packet.seq, *packet);
-        self.order.push_back((now, packet.seq));
+        let seq = packet.seq;
+        if self.slots.is_empty() {
+            self.base = seq;
+        } else if seq < self.base {
+            // A re-stored retransmission whose original entry is gone:
+            // open holes down to it.
+            for _ in seq..self.base {
+                self.slots.push_front(None);
+            }
+            self.base = seq;
+        }
+        let idx = (seq - self.base) as usize;
+        if idx >= self.slots.len() {
+            self.slots.resize(idx + 1, None);
+        }
+        if self.slots[idx].replace(*packet).is_none() {
+            self.live += 1;
+        }
+        self.order.push_back((now, seq));
         self.evict(now);
     }
 
@@ -80,24 +121,47 @@ impl RtxBuffer {
     /// skipped — the receiver's PLI path covers them.
     pub fn retransmit(&mut self, seqs: &[u64]) -> Vec<Packet> {
         let mut out = Vec::with_capacity(seqs.len());
+        self.retransmit_into(seqs, &mut out);
+        out
+    }
+
+    /// [`RtxBuffer::retransmit`] into a caller-owned buffer, the
+    /// hot-path form: `out` is cleared and refilled, so a session reusing
+    /// one scratch buffer stops allocating per NACK batch.
+    pub fn retransmit_into(&mut self, seqs: &[u64], out: &mut Vec<Packet>) {
+        out.clear();
         for &seq in seqs {
-            if let Some(p) = self.packets.get(&seq) {
-                out.push(*p);
+            if let Some(p) = self.slot(seq).and_then(|i| self.slots[i]) {
+                out.push(p);
                 self.retransmissions += 1;
             }
         }
-        out
+    }
+
+    /// Index of `seq`'s slot, if it lies inside the window.
+    fn slot(&self, seq: u64) -> Option<usize> {
+        let idx = usize::try_from(seq.checked_sub(self.base)?).ok()?;
+        (idx < self.slots.len()).then_some(idx)
     }
 
     fn evict(&mut self, now: Time) {
         let cutoff = Time::from_micros(now.as_micros().saturating_sub(self.max_age.as_micros()));
         while let Some(&(t, seq)) = self.order.front() {
             if t < cutoff || self.order.len() > self.max_count {
-                self.packets.remove(&seq);
+                if let Some(i) = self.slot(seq) {
+                    if self.slots[i].take().is_some() {
+                        self.live -= 1;
+                    }
+                }
                 self.order.pop_front();
             } else {
                 break;
             }
+        }
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            // Wraps only as the window empties, when `base` is unused.
+            self.base = self.base.wrapping_add(1);
         }
     }
 }
@@ -268,9 +332,161 @@ mod tests {
         for i in 0..10 {
             buf.store(&pkt(i), ms(i));
         }
-        assert!(buf.len() <= 6);
+        assert_eq!(buf.len(), 5);
         assert!(buf.retransmit(&[0]).is_empty());
         assert_eq!(buf.retransmit(&[9]).len(), 1);
+    }
+
+    #[test]
+    fn re_store_does_not_extend_retention() {
+        // Age: evicting the first store of seq 0 clears it, although a
+        // later re-store (a retransmission) is still queued.
+        let mut buf = RtxBuffer::new(Dur::millis(100), 1000);
+        buf.store(&pkt(0), ms(0));
+        buf.store(&pkt(1), ms(10));
+        buf.store(&pkt(0), ms(80));
+        assert_eq!(buf.len(), 2);
+        buf.store(&pkt(2), ms(105));
+        assert!(buf.retransmit(&[0]).is_empty());
+        assert_eq!(buf.retransmit(&[1, 2]).len(), 2);
+        assert_eq!(buf.len(), 2);
+
+        // Count: re-stores occupy the count bound like fresh stores.
+        let mut buf = RtxBuffer::new(Dur::secs(100), 3);
+        buf.store(&pkt(0), ms(0));
+        buf.store(&pkt(1), ms(1));
+        buf.store(&pkt(1), ms(2));
+        buf.store(&pkt(1), ms(3));
+        assert_eq!(buf.len(), 1);
+        assert!(buf.retransmit(&[0]).is_empty());
+
+        // A re-store below the oldest live seq reopens it, and its
+        // queue entry evicts the oldest entry of seq 1, which clears
+        // seq 1 although two later stores of it are still queued.
+        buf.store(&pkt(0), ms(4));
+        assert_eq!(buf.len(), 1);
+        assert_eq!(buf.retransmit(&[0, 1]), vec![pkt(0)]);
+        assert_eq!(buf.retransmissions(), 1);
+    }
+
+    /// The retained-by-map history the dense window replaced, kept as
+    /// the differential oracle for its retention semantics.
+    struct MapRtxBuffer {
+        packets: BTreeMap<u64, Packet>,
+        order: VecDeque<(Time, u64)>,
+        max_age: Dur,
+        max_count: usize,
+        retransmissions: u64,
+    }
+
+    impl MapRtxBuffer {
+        fn new(max_age: Dur, max_count: usize) -> MapRtxBuffer {
+            MapRtxBuffer {
+                packets: BTreeMap::new(),
+                order: VecDeque::new(),
+                max_age,
+                max_count,
+                retransmissions: 0,
+            }
+        }
+
+        fn store(&mut self, packet: &Packet, now: Time) {
+            self.packets.insert(packet.seq, *packet);
+            self.order.push_back((now, packet.seq));
+            let cutoff =
+                Time::from_micros(now.as_micros().saturating_sub(self.max_age.as_micros()));
+            while let Some(&(t, seq)) = self.order.front() {
+                if t < cutoff || self.order.len() > self.max_count {
+                    self.packets.remove(&seq);
+                    self.order.pop_front();
+                } else {
+                    break;
+                }
+            }
+        }
+
+        fn retransmit(&mut self, seqs: &[u64]) -> Vec<Packet> {
+            let out: Vec<Packet> = seqs
+                .iter()
+                .filter_map(|s| self.packets.get(s))
+                .copied()
+                .collect();
+            self.retransmissions += out.len() as u64;
+            out
+        }
+    }
+
+    /// One step of a differential schedule.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// The next seq, or one up to 3 below it: the audio/video
+        /// interleave stores seqs out of order.
+        Store { lag: u64 },
+        /// A seq up to 63 below the counter: live or already evicted.
+        ReStore { lag: u64 },
+        /// `len` seqs from `lag` below the counter, every other one.
+        Retransmit { lag: u64, len: u64 },
+        /// The clock jumps forward.
+        Advance { ms: u64 },
+    }
+
+    fn op() -> impl proptest::Strategy<Value = Op> {
+        use proptest::Strategy;
+        (0u8..10, 0u64..64, 0u64..8).prop_map(|(kind, a, b)| match kind {
+            0..=3 => Op::Store { lag: a % 4 },
+            4 | 5 => Op::ReStore { lag: a },
+            6 | 7 => Op::Retransmit { lag: a, len: b },
+            _ => Op::Advance { ms: a * b },
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 512, ..Default::default() })]
+
+        /// Under random store / re-store / NACK / clock schedules and
+        /// tiny bounds, the dense window retains exactly what the
+        /// map-backed history retained, step for step.
+        #[test]
+        fn window_matches_map_reference(
+            max_age_ms in 1u64..40,
+            max_count in 1usize..12,
+            ops in proptest::collection::vec(op(), 1..200),
+        ) {
+            let mut buf = RtxBuffer::new(Dur::millis(max_age_ms), max_count);
+            let mut reference = MapRtxBuffer::new(Dur::millis(max_age_ms), max_count);
+            let mut counter = 0u64;
+            let mut now = Time::ZERO;
+            let mut got = Vec::new();
+            for op in &ops {
+                match *op {
+                    Op::Store { lag } => {
+                        counter += 1;
+                        let p = pkt(counter.saturating_sub(lag));
+                        buf.store(&p, now);
+                        reference.store(&p, now);
+                    }
+                    Op::ReStore { lag } => {
+                        let mut p = pkt(counter.saturating_sub(lag));
+                        p.send_time = now;
+                        buf.store(&p, now);
+                        reference.store(&p, now);
+                    }
+                    Op::Retransmit { lag, len } => {
+                        let seqs: Vec<u64> =
+                            (0..len).map(|k| counter.saturating_sub(lag + 2 * k)).collect();
+                        buf.retransmit_into(&seqs, &mut got);
+                        proptest::prop_assert_eq!(&got, &reference.retransmit(&seqs));
+                    }
+                    Op::Advance { ms } => now += Dur::millis(ms),
+                }
+                proptest::prop_assert_eq!(buf.len(), reference.packets.len());
+                proptest::prop_assert_eq!(buf.is_empty(), reference.packets.is_empty());
+                proptest::prop_assert_eq!(buf.retransmissions(), reference.retransmissions);
+            }
+            // Every seq ever used: same hits, same packet contents.
+            let all: Vec<u64> = (0..=counter).collect();
+            proptest::prop_assert_eq!(buf.retransmit(&all), reference.retransmit(&all));
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use ravel_net::{
 use ravel_obs::{ObsEvent, ObsLog, ObsMode};
 use ravel_sim::{ArenaStats, BoxPool, Dur, EventQueue, SeriesSet, Time};
 use ravel_trace::BandwidthTrace;
-use ravel_video::{ContentClass, RawFrame, Resolution, VideoSource};
+use ravel_video::{ContentClass, Resolution, VideoSource};
 
 use crate::invariants::{Invariant, InvariantChecker, InvariantViolation};
 use crate::scheme::Scheme;
@@ -1626,10 +1626,15 @@ impl<T: BandwidthTrace> SessionState<T> {
                 break;
             }
         }
-        let packets = self.rtx_buffer.retransmit(&affordable);
+        // The release scratch is idle between releases: stage the
+        // retransmissions in it rather than allocating per batch.
+        let mut packets = mem::take(&mut self.release_scratch);
+        self.rtx_buffer.retransmit_into(&affordable, &mut packets);
         self.affordable_scratch = affordable;
-        if !packets.is_empty() {
-            self.pacer.enqueue(packets);
+        let any = !packets.is_empty();
+        self.pacer.enqueue(packets.drain(..));
+        self.release_scratch = packets;
+        if any {
             self.release_pacer(sink, now);
         }
     }
@@ -1682,10 +1687,12 @@ impl<T: BandwidthTrace> SessionState<T> {
     fn release_pacer(&mut self, sink: &mut impl EventSink, now: Time) {
         let mut scratch = mem::take(&mut self.release_scratch);
         self.pacer.release_into(now, &mut scratch);
-        for packet in scratch.drain(..) {
-            if self.cfg.enable_rtx {
-                self.rtx_buffer.store(&packet, now);
+        if self.cfg.enable_rtx {
+            for packet in &scratch {
+                self.rtx_buffer.store(packet, now);
             }
+        }
+        for packet in scratch.drain(..) {
             self.send_forward(sink, packet, now);
         }
         self.release_scratch = scratch;
@@ -1988,13 +1995,6 @@ impl AsOpt for EncodedFrame {
         complete_at.map(|_| self)
     }
 }
-
-// Re-export the raw-frame type for doc examples.
-pub use ravel_video::RawFrame as _RawFrame;
-const _: () = {
-    // Compile-time sanity: RawFrame stays in the public dependency graph.
-    fn _assert(_: RawFrame) {}
-};
 
 #[cfg(test)]
 mod tests {

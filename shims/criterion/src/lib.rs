@@ -1,13 +1,14 @@
 //! Vendored stand-in for the subset of the `criterion` 0.5 API this
 //! workspace consumes.
 //!
-//! The build environment has no registry access, so the two benches
-//! that use Criterion (`e1_headline_latency`, `e10_overhead`) link
-//! against this minimal wall-clock harness instead. It mirrors the
-//! `Criterion` / `benchmark_group` / `Bencher::iter` surface and the
-//! `criterion_group!` / `criterion_main!` macros, reporting mean
-//! wall-clock time per iteration. It does no statistical analysis —
-//! numbers are indicative, not publication-grade.
+//! The build environment has no registry access, so the benches that
+//! use Criterion link against this minimal wall-clock harness instead.
+//! It mirrors the `Criterion` / `benchmark_group` / `Bencher::iter`
+//! surface, `Throughput::Elements` and the `criterion_group!` /
+//! `criterion_main!` macros, reporting mean wall-clock time per
+//! iteration (and per element when a throughput is set). It does no
+//! statistical analysis — numbers are indicative, not
+//! publication-grade.
 
 use std::time::{Duration, Instant};
 
@@ -39,20 +40,35 @@ impl Criterion {
         BenchmarkGroup {
             _criterion: self,
             sample_size: self.default_sample_size,
+            throughput: None,
         }
     }
+}
+
+/// Work done by one iteration, for per-element reporting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Throughput {
+    /// The iteration processes this many elements.
+    Elements(u64),
 }
 
 /// A named group of benchmarks sharing configuration.
 pub struct BenchmarkGroup<'a> {
     _criterion: &'a Criterion,
     sample_size: usize,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
     /// Sets the number of timed samples per benchmark.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(1);
+        self
+    }
+
+    /// Sets the work per iteration of the benchmarks that follow.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
         self
     }
 
@@ -73,8 +89,14 @@ impl BenchmarkGroup<'_> {
         f(&mut warmup);
         f(&mut b);
         let per_iter = b.elapsed.as_secs_f64() / b.iterations.max(1) as f64;
+        let per_elem = match self.throughput {
+            Some(Throughput::Elements(n)) if n > 0 => {
+                format!(" ({:.1} ns/elem)", per_iter * 1e9 / n as f64)
+            }
+            _ => String::new(),
+        };
         println!(
-            "  {name}: {:.3} ms/iter over {} iters",
+            "  {name}: {:.3} ms/iter over {} iters{per_elem}",
             per_iter * 1e3,
             b.iterations
         );
