@@ -20,7 +20,7 @@
 //! Overhead: one parity packet (max member size + headers) per
 //! `group_size` media packets — e.g. ~10% at `group_size = 10`.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use ravel_sim::Time;
 
@@ -146,55 +146,185 @@ impl GroupInfo for Packet {
     }
 }
 
+/// Media arrivals a group opened by a late parity can still see.
+const ARRIVAL_LOG: usize = 1024;
+/// Seqs [`ArrivalLog`] counts densely, ending at the highest arrival.
+const COUNT_WINDOW: u64 = 4096;
+/// Groups retained at most; beyond it the smallest key is evicted.
+const MAX_GROUPS: usize = 64;
+
 /// Receiver-side FEC: tracks arrivals per group and recovers single
 /// losses.
-#[derive(Debug, Clone)]
+///
+/// Per media arrival the decoder binary-searches the tracked spans by
+/// first seq and walks back only over spans that can still reach the
+/// arrival, so its cost does not grow with the number of groups.
+/// Opening a group replays its members from per-seq occurrence counts
+/// of the arrival log, not from the log itself. Recovery needs no scan
+/// until a group is one member short. Nothing allocates unless a packet
+/// is recovered: member bitsets of evicted groups are reused.
+#[derive(Debug, Clone, Default)]
 pub struct FecDecoder {
-    /// Group state: covered seq range → (arrived members, parity seen).
-    groups: BTreeMap<u64, GroupState>,
-    /// Recent media arrivals (bounded log), so a parity that opens a new
-    /// group can replay members that arrived before it.
-    recent_arrivals: std::collections::VecDeque<u64>,
+    /// Tracked groups, ascending by key (the parity's `frame_index`).
+    groups: VecDeque<Group>,
+    /// The groups' spans, ascending by `(first_seq, key)`.
+    spans: VecDeque<Span>,
+    /// Largest `count` among tracked groups: no span starting more than
+    /// this far below a seq holds it.
+    max_count: u64,
+    /// Tracked groups whose `count` is `max_count`.
+    at_max_count: usize,
+    arrivals: ArrivalLog,
+    /// Member bitsets of evicted groups, for the next groups opened.
+    spare: Vec<Vec<u64>>,
+    /// `(group key, recovered seq)` of the packet being handled.
+    hits: Vec<(u64, u64)>,
     recovered: u64,
-    /// Groups retained at most (old ones evicted FIFO).
-    max_groups: usize,
+}
+
+/// Where a tracked group sits in seq space.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    first_seq: u64,
+    count: u16,
+    key: u64,
 }
 
 #[derive(Debug, Clone)]
-struct GroupState {
+struct Group {
+    key: u64,
     first_seq: u64,
     count: u16,
-    arrived: Vec<bool>,
-    parity_arrived: bool,
+    /// Set bits of `arrived` (members arrived or recovered).
+    arrived_count: u16,
+    /// Bit `i` set: member `first_seq + i` arrived or was recovered.
+    arrived: Vec<u64>,
     recovered: bool,
 }
 
-impl GroupState {
-    fn missing(&self) -> Vec<u64> {
-        self.arrived
-            .iter()
-            .enumerate()
-            .filter(|&(_, &a)| !a)
-            .map(|(i, _)| self.first_seq + i as u64)
-            .collect()
+impl Group {
+    /// Marks member `offset` arrived.
+    fn mark(&mut self, offset: u64) {
+        let (word, bit) = ((offset / 64) as usize, 1u64 << (offset % 64));
+        if let Some(w) = self.arrived.get_mut(word) {
+            if *w & bit == 0 {
+                *w |= bit;
+                self.arrived_count += 1;
+            }
+        }
+    }
+
+    /// The group becomes recoverable once its parity (always present
+    /// for a tracked group) and all but one member are in: returns that
+    /// member, now marked.
+    fn try_recover(&mut self) -> Option<u64> {
+        if self.recovered || u32::from(self.arrived_count) + 1 != u32::from(self.count) {
+            return None;
+        }
+        // Bits past `count` stay clear, so the first clear bit is the
+        // one missing member.
+        let (word, w) = self.arrived.iter().enumerate().find(|(_, w)| **w != !0)?;
+        let offset = word as u64 * 64 + u64::from(w.trailing_ones());
+        self.mark(offset);
+        self.recovered = true;
+        Some(self.first_seq + offset)
     }
 }
 
-impl Default for FecDecoder {
-    fn default() -> Self {
-        Self::new()
+/// The last [`ARRIVAL_LOG`] media arrivals, duplicates included, with
+/// occurrence counts per seq.
+///
+/// `counts` is a ring over the window `base..base + COUNT_WINDOW`,
+/// which ends at the highest arrival, and counts every logged arrival
+/// in it. The few logged below `base` (old seqs, or seqs the window
+/// slid past) are only tallied in `below`, and found by replaying
+/// `seqs`. `base` only rises.
+#[derive(Debug, Clone, Default)]
+struct ArrivalLog {
+    /// Arrival order, oldest first.
+    seqs: VecDeque<u64>,
+    /// Slot `seq % COUNT_WINDOW`: logged arrivals of `seq`, for seqs in
+    /// the window. Empty until the first arrival.
+    counts: Vec<u16>,
+    base: u64,
+    /// Logged arrivals below `base`.
+    below: usize,
+}
+
+fn slot(seq: u64) -> usize {
+    (seq % COUNT_WINDOW) as usize
+}
+
+impl ArrivalLog {
+    fn push(&mut self, seq: u64) {
+        if self.seqs.len() == ARRIVAL_LOG {
+            if let Some(old) = self.seqs.pop_front() {
+                self.forget(old);
+            }
+        }
+        self.seqs.push_back(seq);
+        let Some(idx) = seq.checked_sub(self.base) else {
+            self.below += 1;
+            return;
+        };
+        if self.counts.is_empty() {
+            self.counts = vec![0; COUNT_WINDOW as usize];
+        }
+        if idx >= COUNT_WINDOW {
+            // Slide the window up to end at `seq`: the seqs leaving it
+            // now count as below.
+            let shift = idx - (COUNT_WINDOW - 1);
+            for i in 0..shift.min(COUNT_WINDOW) {
+                let c = &mut self.counts[slot(self.base + i)];
+                self.below += usize::from(*c);
+                *c = 0;
+            }
+            self.base += shift;
+        }
+        self.counts[slot(seq)] += 1;
+    }
+
+    /// Drops one logged arrival of `seq`.
+    fn forget(&mut self, seq: u64) {
+        if seq < self.base {
+            self.below -= 1;
+        } else if let Some(c) = self.counts.get_mut(slot(seq)) {
+            *c -= 1;
+        }
+    }
+
+    /// Marks in `group` every member that occurs in the log.
+    fn replay(&self, group: &mut Group) {
+        let count = u64::from(group.count);
+        let first = group.first_seq;
+        // The first member inside the window: (its offset in the group,
+        // its offset from `base`).
+        let (lead, start) = match first.checked_sub(self.base) {
+            Some(start) => (0, start),
+            None => (self.base - first, 0),
+        };
+        if !self.counts.is_empty() && lead < count && start < COUNT_WINDOW {
+            for i in 0..(count - lead).min(COUNT_WINDOW - start) {
+                if self.counts[slot(self.base + start + i)] > 0 {
+                    group.mark(lead + i);
+                }
+            }
+        }
+        // Members below the window: only the log itself knows them.
+        if lead > 0 && self.below > 0 {
+            for &seq in &self.seqs {
+                if seq >= first && seq < self.base && seq - first < count {
+                    group.mark(seq - first);
+                }
+            }
+        }
     }
 }
 
 impl FecDecoder {
     /// Creates a decoder retaining up to 64 in-flight groups.
     pub fn new() -> FecDecoder {
-        FecDecoder {
-            groups: BTreeMap::new(),
-            recent_arrivals: std::collections::VecDeque::new(),
-            recovered: 0,
-            max_groups: 64,
-        }
+        FecDecoder::default()
     }
 
     /// Packets recovered so far.
@@ -208,84 +338,143 @@ impl FecDecoder {
     }
 
     /// Feeds one arrived media packet (by seq). Returns the seq numbers
-    /// newly recoverable (zero or one — XOR parity repairs single
-    /// losses).
+    /// newly recoverable, one per group completed down to a single
+    /// missing member, in ascending group-key order.
     pub fn on_media_packet(&mut self, seq: u64) -> Vec<u64> {
-        self.recent_arrivals.push_back(seq);
-        while self.recent_arrivals.len() > 1024 {
-            self.recent_arrivals.pop_front();
-        }
-        let mut out = Vec::new();
-        for state in self.groups.values_mut() {
-            if seq >= state.first_seq && seq < state.first_seq + state.count as u64 {
-                state.arrived[(seq - state.first_seq) as usize] = true;
-                if let Some(r) = try_recover(state) {
-                    out.push(r);
-                    self.recovered += 1;
+        self.arrivals.push(seq);
+        // Fresh seqs lie at or past the newest span: skip the search.
+        let end = match self.spans.back() {
+            Some(last) if last.first_seq <= seq => self.spans.len(),
+            _ => self.spans.partition_point(|s| s.first_seq <= seq),
+        };
+        for span in self.spans.range(..end).rev() {
+            let offset = seq - span.first_seq;
+            if offset >= self.max_count {
+                break;
+            }
+            if offset < u64::from(span.count) {
+                if let Ok(i) = self.groups.binary_search_by_key(&span.key, |g| g.key) {
+                    let group = &mut self.groups[i];
+                    group.mark(offset);
+                    if let Some(r) = group.try_recover() {
+                        self.hits.push((span.key, r));
+                    }
                 }
             }
         }
-        out
+        self.take_hits()
     }
 
     /// Feeds one arrived parity packet. Returns newly recoverable seqs.
+    ///
+    /// The first parity of a group opens it from the arrival log; a
+    /// repeated one (same `frame_index`) keeps the group as it is. A
+    /// parity for an evicted group re-opens it.
     pub fn on_parity_packet(&mut self, parity: &Packet) -> Vec<u64> {
         debug_assert_eq!(parity.kind, MediaKind::Fec);
-        let first = parity.group_first_seq();
-        let count = parity.group_count();
-        let group_key = parity.frame_index;
-        let recent = &self.recent_arrivals;
-        let state = self.groups.entry(group_key).or_insert_with(|| {
-            // Members may have arrived before this parity: replay them
-            // from the arrival log, then run a single recovery check.
-            let mut arrived = vec![false; count as usize];
-            for &seq in recent {
-                if seq >= first && seq < first + count as u64 {
-                    arrived[(seq - first) as usize] = true;
-                }
+        let key = parity.frame_index;
+        let i = match self.groups.binary_search_by_key(&key, |g| g.key) {
+            Ok(i) => i,
+            Err(i) => {
+                self.open(i, key, parity.group_first_seq(), parity.group_count());
+                i
             }
-            GroupState {
-                first_seq: first,
-                count,
-                arrived,
-                parity_arrived: false,
-                recovered: false,
-            }
-        });
-        state.parity_arrived = true;
-        let mut out = Vec::new();
-        if let Some(r) = try_recover(state) {
-            out.push(r);
-            self.recovered += 1;
+        };
+        if let Some(r) = self.groups[i].try_recover() {
+            self.hits.push((key, r));
         }
-        // Evict stale groups.
-        while self.groups.len() > self.max_groups {
-            let oldest = *self.groups.keys().next().expect("non-empty");
-            self.groups.remove(&oldest);
+        while self.groups.len() > MAX_GROUPS {
+            self.evict_smallest_key();
         }
-        out
+        self.take_hits()
     }
 
     /// The seq range a parity packet covers (diagnostics).
     pub fn covered_range(&self, parity: &Packet) -> std::ops::Range<u64> {
-        parity.group_first_seq()..parity.group_first_seq() + parity.group_count() as u64
+        let first = parity.group_first_seq();
+        first..first.saturating_add(u64::from(parity.group_count()))
     }
-}
 
-/// One group becomes recoverable when the parity plus all-but-one member
-/// are present.
-fn try_recover(state: &mut GroupState) -> Option<u64> {
-    if state.recovered || !state.parity_arrived {
-        return None;
+    /// Opens group `key` at position `i` of `groups`, replaying members
+    /// that arrived before its parity.
+    fn open(&mut self, i: usize, key: u64, first_seq: u64, count: u16) {
+        // A span is cut at the last seq there is.
+        let count = match u16::try_from(u64::MAX - first_seq) {
+            Ok(last_offset) => count.min(last_offset.saturating_add(1)),
+            Err(_) => count,
+        };
+        let mut arrived = self.spare.pop().unwrap_or_default();
+        arrived.clear();
+        arrived.resize(usize::from(count).div_ceil(64), 0);
+        let mut group = Group {
+            key,
+            first_seq,
+            count,
+            arrived_count: 0,
+            arrived,
+            recovered: false,
+        };
+        self.arrivals.replay(&mut group);
+        self.groups.insert(i, group);
+        let at = self
+            .spans
+            .partition_point(|s| (s.first_seq, s.key) < (first_seq, key));
+        self.spans.insert(
+            at,
+            Span {
+                first_seq,
+                count,
+                key,
+            },
+        );
+        let count = u64::from(count);
+        if count > self.max_count {
+            (self.max_count, self.at_max_count) = (count, 0);
+        }
+        if count == self.max_count {
+            self.at_max_count += 1;
+        }
     }
-    let missing = state.missing();
-    if missing.len() == 1 {
-        state.recovered = true;
-        let seq = missing[0];
-        state.arrived[(seq - state.first_seq) as usize] = true;
-        Some(seq)
-    } else {
-        None
+
+    fn evict_smallest_key(&mut self) {
+        let Some(group) = self.groups.pop_front() else {
+            return;
+        };
+        let at = (group.first_seq, group.key);
+        if let Ok(i) = self
+            .spans
+            .binary_search_by_key(&at, |s| (s.first_seq, s.key))
+        {
+            self.spans.remove(i);
+        }
+        if u64::from(group.count) == self.max_count {
+            self.at_max_count -= 1;
+            if self.at_max_count == 0 {
+                self.max_count = self
+                    .spans
+                    .iter()
+                    .map(|s| u64::from(s.count))
+                    .max()
+                    .unwrap_or(0);
+                self.at_max_count = self
+                    .spans
+                    .iter()
+                    .filter(|s| u64::from(s.count) == self.max_count)
+                    .count();
+            }
+        }
+        self.spare.push(group.arrived);
+    }
+
+    /// Counts this packet's recoveries and returns them in group-key
+    /// order; allocates only when there is one.
+    fn take_hits(&mut self) -> Vec<u64> {
+        if self.hits.is_empty() {
+            return Vec::new();
+        }
+        self.hits.sort_unstable();
+        self.recovered += self.hits.len() as u64;
+        self.hits.drain(..).map(|(_, seq)| seq).collect()
     }
 }
 
@@ -420,6 +609,174 @@ mod tests {
         FecEncoder::new(1);
     }
 
+    /// A parity for group `key` covering `count` seqs from `first`.
+    fn parity(key: u64, first: u64, count: u16) -> Packet {
+        Packet {
+            kind: MediaKind::Fec,
+            seq: 1 << 40,
+            frame_index: FEC_GROUP_BASE + key,
+            fragment: 0,
+            num_fragments: 1,
+            size_bytes: 1200,
+            pts: Time::ZERO,
+            send_time: Time::ZERO,
+            is_keyframe: false,
+        }
+        .with_group_info(first, count)
+    }
+
+    #[test]
+    fn duplicate_parity_keeps_the_first_group() {
+        let mut dec = FecDecoder::new();
+        dec.on_media_packet(0);
+        dec.on_media_packet(2);
+        assert_eq!(dec.on_parity_packet(&parity(0, 0, 3)), vec![1]);
+        // The same parity again: the group is already recovered.
+        assert!(dec.on_parity_packet(&parity(0, 0, 3)).is_empty());
+        // A parity reusing the key with another span changes nothing:
+        // the group keeps its first span.
+        assert!(dec.on_parity_packet(&parity(0, 10, 2)).is_empty());
+        assert!(dec.on_media_packet(10).is_empty());
+        assert_eq!(dec.tracked_groups(), 1);
+        assert_eq!(dec.recovered(), 1);
+    }
+
+    /// Opens groups `keys` over far-away spans with nothing arrived.
+    fn open_filler_groups(dec: &mut FecDecoder, keys: std::ops::Range<u64>) {
+        for key in keys {
+            assert!(dec
+                .on_parity_packet(&parity(key, 1_000_000 + key * 10, 4))
+                .is_empty());
+        }
+    }
+
+    #[test]
+    fn reopened_group_replays_only_the_last_1024_arrivals() {
+        // Group 0 covers seqs 0..4. Seqs 0, 1, 2 arrive, then `fillers`
+        // duplicate arrivals of one unrelated seq; group 0 was opened
+        // (two missing) and evicted before seq 2 arrived, so only the
+        // replay at re-open can see seq 0.
+        let replay = |fillers: u64| {
+            let mut dec = FecDecoder::new();
+            dec.on_media_packet(0);
+            dec.on_media_packet(1);
+            assert!(dec.on_parity_packet(&parity(0, 0, 4)).is_empty());
+            open_filler_groups(&mut dec, 1..65);
+            assert_eq!(dec.tracked_groups(), 64);
+            // Group 0 is gone: seq 2 leaves only seq 3 missing, but
+            // nothing recovers.
+            assert!(dec.on_media_packet(2).is_empty());
+            for _ in 0..fillers {
+                assert!(dec.on_media_packet(500_000).is_empty());
+            }
+            let out = dec.on_parity_packet(&parity(0, 0, 4));
+            // The re-opened group has the smallest key: it is evicted
+            // again at once, after its check.
+            assert_eq!(dec.tracked_groups(), 64);
+            (out, dec.recovered())
+        };
+        // 3 + 1021 arrivals: seq 0 is still the oldest logged arrival.
+        assert_eq!(replay(1021), (vec![3], 1));
+        // One more arrival pushes seq 0 out of the log.
+        assert_eq!(replay(1022), (vec![], 0));
+    }
+
+    #[test]
+    fn non_media_seq_inside_a_span_is_recovered_and_counted() {
+        let mut dec = FecDecoder::new();
+        // Seq 2 is an audio packet interleaved into the video span and
+        // lost; every video member arrived. The decoder cannot tell the
+        // kinds apart, so it "recovers" the audio seq.
+        for s in [0, 1, 3] {
+            dec.on_media_packet(s);
+        }
+        assert_eq!(dec.on_parity_packet(&parity(0, 0, 4)), vec![2]);
+        // Seq 12 is an earlier group's parity inside the next span. It
+        // arrived, but through `on_parity_packet`, which does not count
+        // as a member arrival: it is "recovered" too.
+        assert!(dec.on_parity_packet(&parity(1, 100, 2)).is_empty());
+        let mut p12 = parity(1, 100, 2);
+        p12.seq = 12;
+        assert!(dec.on_parity_packet(&p12).is_empty());
+        for s in [10, 11, 13] {
+            dec.on_media_packet(s);
+        }
+        assert_eq!(dec.on_parity_packet(&parity(2, 10, 4)), vec![12]);
+        assert_eq!(dec.recovered(), 2);
+    }
+
+    #[test]
+    fn the_65th_group_evicts_the_smallest_key() {
+        // Groups 100..164 over seqs 0..256 (4 each), each missing two
+        // members; then group 50 arrives last.
+        let mut dec = FecDecoder::new();
+        for key in 100..164u64 {
+            assert!(dec
+                .on_parity_packet(&parity(key, (key - 100) * 4, 4))
+                .is_empty());
+        }
+        assert_eq!(dec.tracked_groups(), 64);
+        // Group 50 (the smallest key) covers 1000..1002 and is missing
+        // one member: it recovers at once and is then evicted itself.
+        dec.on_media_packet(1000);
+        assert_eq!(dec.on_parity_packet(&parity(50, 1000, 2)), vec![1001]);
+        assert_eq!(dec.tracked_groups(), 64);
+        assert_eq!(dec.recovered(), 1);
+        // Group 164 evicts group 100 (seqs 0..4), not group 101.
+        assert!(dec.on_parity_packet(&parity(164, 256, 4)).is_empty());
+        assert_eq!(dec.tracked_groups(), 64);
+        for s in [0, 1, 2] {
+            assert!(dec.on_media_packet(s).is_empty());
+        }
+        for s in [4, 5] {
+            assert!(dec.on_media_packet(s).is_empty());
+        }
+        assert_eq!(dec.on_media_packet(6), vec![7]);
+        assert_eq!(dec.recovered(), 2);
+    }
+
+    #[test]
+    fn overlapping_spans_apply_in_key_order() {
+        // Group 7 spans 0..4 and group 3 spans 2..6: key order is the
+        // reverse of span order. Seqs 0, 3, 4 arrived, so each group
+        // misses two members, one of them seq 2.
+        let mut dec = FecDecoder::new();
+        for s in [0, 3, 4] {
+            dec.on_media_packet(s);
+        }
+        assert!(dec.on_parity_packet(&parity(7, 0, 4)).is_empty());
+        assert!(dec.on_parity_packet(&parity(3, 2, 4)).is_empty());
+        // Seq 2 completes both down to one missing member: group 3
+        // recovers 5 first, then group 7 recovers 1.
+        assert_eq!(dec.on_media_packet(2), vec![5, 1]);
+        assert_eq!(dec.recovered(), 2);
+
+        // The same spans with the keys swapped: key order is span order.
+        let mut dec = FecDecoder::new();
+        for s in [0, 3, 4] {
+            dec.on_media_packet(s);
+        }
+        assert!(dec.on_parity_packet(&parity(7, 2, 4)).is_empty());
+        assert!(dec.on_parity_packet(&parity(3, 0, 4)).is_empty());
+        assert_eq!(dec.on_media_packet(2), vec![1, 5]);
+        assert_eq!(dec.recovered(), 2);
+    }
+
+    #[test]
+    fn span_is_cut_at_the_last_seq() {
+        let mut dec = FecDecoder::new();
+        let last = u64::MAX;
+        assert_eq!(dec.covered_range(&parity(0, last - 1, 4)), last - 1..last);
+        dec.on_media_packet(last);
+        // Members `last - 1` and `last`; the two past them do not exist.
+        assert_eq!(
+            dec.on_parity_packet(&parity(0, last - 1, 4)),
+            vec![last - 1]
+        );
+        assert_eq!(dec.on_media_packet(last), vec![]);
+        assert_eq!(dec.recovered(), 1);
+    }
+
     proptest::proptest! {
         /// For any single-loss-per-group pattern, with the realistic
         /// arrival order (members, then parity, then replay), exactly the
@@ -446,6 +803,224 @@ mod tests {
                 reconstructed,
                 vec![group * gs as u64 + lost_member]
             );
+        }
+    }
+
+    /// The map-backed decoder the scan-free one replaced, kept as the
+    /// differential oracle for its semantics: every arrival walks all
+    /// groups, and opening a group scans the whole arrival log.
+    struct MapFecDecoder {
+        groups: std::collections::BTreeMap<u64, MapGroup>,
+        recent_arrivals: VecDeque<u64>,
+        recovered: u64,
+    }
+
+    struct MapGroup {
+        first_seq: u64,
+        count: u16,
+        arrived: Vec<bool>,
+        recovered: bool,
+    }
+
+    impl MapFecDecoder {
+        fn new() -> MapFecDecoder {
+            MapFecDecoder {
+                groups: std::collections::BTreeMap::new(),
+                recent_arrivals: VecDeque::new(),
+                recovered: 0,
+            }
+        }
+
+        fn on_media_packet(&mut self, seq: u64) -> Vec<u64> {
+            self.recent_arrivals.push_back(seq);
+            while self.recent_arrivals.len() > 1024 {
+                self.recent_arrivals.pop_front();
+            }
+            let mut out = Vec::new();
+            for state in self.groups.values_mut() {
+                if seq >= state.first_seq && seq < state.first_seq + state.count as u64 {
+                    state.arrived[(seq - state.first_seq) as usize] = true;
+                    if let Some(r) = map_try_recover(state) {
+                        out.push(r);
+                        self.recovered += 1;
+                    }
+                }
+            }
+            out
+        }
+
+        fn on_parity_packet(&mut self, parity: &Packet) -> Vec<u64> {
+            let first = parity.group_first_seq();
+            let count = parity.group_count();
+            let recent = &self.recent_arrivals;
+            let state = self.groups.entry(parity.frame_index).or_insert_with(|| {
+                let mut arrived = vec![false; count as usize];
+                for &seq in recent {
+                    if seq >= first && seq < first + count as u64 {
+                        arrived[(seq - first) as usize] = true;
+                    }
+                }
+                MapGroup {
+                    first_seq: first,
+                    count,
+                    arrived,
+                    recovered: false,
+                }
+            });
+            let mut out = Vec::new();
+            if let Some(r) = map_try_recover(state) {
+                out.push(r);
+                self.recovered += 1;
+            }
+            while self.groups.len() > 64 {
+                let oldest = *self.groups.keys().next().expect("non-empty");
+                self.groups.remove(&oldest);
+            }
+            out
+        }
+    }
+
+    fn map_try_recover(state: &mut MapGroup) -> Option<u64> {
+        if state.recovered {
+            return None;
+        }
+        let missing: Vec<usize> = (0..state.arrived.len())
+            .filter(|&i| !state.arrived[i])
+            .collect();
+        if missing.len() == 1 {
+            state.recovered = true;
+            state.arrived[missing[0]] = true;
+            Some(state.first_seq + missing[0] as u64)
+        } else {
+            None
+        }
+    }
+
+    /// One step of a differential schedule. `newest` is the highest
+    /// fresh seq so far.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// `n` fresh seqs in order, each lost with chance `loss / 32`.
+        Fresh { n: u64, loss: u64 },
+        /// `newest - lag` arrives: a duplicate, a reordered or an old
+        /// seq, possibly below the counting window.
+        Late { lag: u64 },
+        /// The seq counter jumps (a burst of losses).
+        Jump { by: u64 },
+        /// Encoder-like parity: the next key over at most the last `len`
+        /// seqs since the previous encoder-like span (spans are
+        /// contiguous and never overlap).
+        Parity { len: u64 },
+        /// The encoder-like parity `back` keys ago again: a duplicate,
+        /// or a re-open once its group was evicted.
+        Repeat { back: u64 },
+        /// Any key from a small range, over any span ending near the
+        /// newest seq: overlapping spans, out-of-order and repeated
+        /// keys (the encoder-like keys come from the same range).
+        Adversarial { key: u64, back: u64, count: u16 },
+    }
+
+    /// One decoder call.
+    #[derive(Debug, Clone, Copy)]
+    enum Input {
+        Media(u64),
+        Parity(Packet),
+    }
+
+    fn op() -> impl proptest::Strategy<Value = Op> {
+        use proptest::Strategy;
+        (0u8..20, 0u64..6000, 0u64..400).prop_map(|(kind, a, b)| match kind {
+            0..=7 => Op::Fresh {
+                n: 1 + b % 32,
+                loss: a % 4,
+            },
+            8..=10 => Op::Late {
+                lag: if a % 4 == 0 { a } else { b % 24 },
+            },
+            11 => Op::Jump {
+                by: if a % 8 == 0 { a } else { a % 64 },
+            },
+            12..=15 => Op::Parity { len: 2 + b % 23 },
+            16 => Op::Repeat { back: b % 100 },
+            _ => Op::Adversarial {
+                key: b % 160,
+                back: if a % 8 == 0 { a } else { a % 300 },
+                count: (if b % 16 == 0 { b } else { b % 40 }) as u16,
+            },
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 256, ..Default::default() })]
+
+        /// Under random schedules of fresh, lost, duplicate, reordered
+        /// and old arrivals and of encoder-like or adversarial parities,
+        /// running past the 1024-arrival log and the 64-group bound,
+        /// the scan-free decoder returns what the map-backed decoder
+        /// returned, step for step.
+        #[test]
+        fn decoder_matches_map_reference(
+            adversarial in 0u8..2,
+            ops in proptest::collection::vec(op(), 1..400),
+        ) {
+            let mut dec = FecDecoder::new();
+            let mut reference = MapFecDecoder::new();
+            let mut newest = 0u64;
+            let mut span_start = 0u64;
+            let mut issued: Vec<Packet> = Vec::new();
+            let mut steps = 0u64;
+            for op in &ops {
+                let mut inputs = Vec::new();
+                // Encoder-realistic schedules open no adversarial group.
+                let op = match op {
+                    Op::Adversarial { count, .. } if adversarial == 0 => &Op::Parity {
+                        len: u64::from(*count),
+                    },
+                    op => op,
+                };
+                match *op {
+                    Op::Fresh { n, loss } => {
+                        for _ in 0..n {
+                            newest += 1;
+                            if newest.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59 >= loss {
+                                inputs.push(Input::Media(newest));
+                            }
+                        }
+                    }
+                    Op::Late { lag } => inputs.push(Input::Media(newest.saturating_sub(lag))),
+                    Op::Jump { by } => newest += by,
+                    Op::Parity { len } => {
+                        let first = span_start.max((newest + 1).saturating_sub(len));
+                        let p = parity(issued.len() as u64, first, (newest + 1 - first) as u16);
+                        span_start = newest + 1;
+                        issued.push(p);
+                        inputs.push(Input::Parity(p));
+                    }
+                    Op::Repeat { back } => {
+                        if let Some(&p) = issued.iter().rev().nth(back as usize) {
+                            inputs.push(Input::Parity(p));
+                        }
+                    }
+                    Op::Adversarial { key, back, count } => {
+                        let first = (newest + 1).saturating_sub(back + u64::from(count) / 2);
+                        inputs.push(Input::Parity(parity(key, first, count)));
+                    }
+                }
+                for input in inputs {
+                    let (got, want) = match input {
+                        Input::Media(seq) => {
+                            (dec.on_media_packet(seq), reference.on_media_packet(seq))
+                        }
+                        Input::Parity(p) => {
+                            (dec.on_parity_packet(&p), reference.on_parity_packet(&p))
+                        }
+                    };
+                    proptest::prop_assert_eq!(got, want, "{:?} at step {}", input, steps);
+                    proptest::prop_assert_eq!(dec.recovered(), reference.recovered);
+                    proptest::prop_assert_eq!(dec.tracked_groups(), reference.groups.len());
+                    steps += 1;
+                }
+            }
         }
     }
 }

@@ -57,7 +57,7 @@ impl Dur {
         if !s.is_finite() || s <= 0.0 {
             return Dur::ZERO;
         }
-        Dur((s * 1e6).round() as u64)
+        Dur(round_positive(s * 1e6))
     }
 
     /// Whole microseconds in this duration.
@@ -141,6 +141,23 @@ impl Dur {
             return Dur::ZERO;
         }
         Dur::from_secs_f64(bits as f64 / rate_bps)
+    }
+}
+
+/// `x.round() as u64` for positive `x`, in integer arithmetic (`round`
+/// is a software routine on targets without a rounding instruction).
+///
+/// Below 2^52 the fractional part `x - trunc(x)` is exact, so ties
+/// round up, away from zero, as `round` does. From 2^52 on every double
+/// is integral; `as` saturates at `u64::MAX` like the rounded cast.
+#[inline]
+fn round_positive(x: f64) -> u64 {
+    const EXACT_FRACTION: f64 = (1u64 << 52) as f64;
+    if x < EXACT_FRACTION {
+        let t = x as u64;
+        t + u64::from(x - t as f64 >= 0.5)
+    } else {
+        x as u64
     }
 }
 
@@ -375,6 +392,65 @@ mod tests {
     fn dur_from_secs_f64_rounds() {
         assert_eq!(Dur::from_secs_f64(0.0000014), Dur::micros(1));
         assert_eq!(Dur::from_secs_f64(0.0000016), Dur::micros(2));
+    }
+
+    /// The neighbouring doubles of a positive finite `x`.
+    fn below(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() - 1)
+    }
+
+    fn above(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
+    }
+
+    #[test]
+    fn round_positive_edge_cases() {
+        let below_half = below(0.5);
+        let cases = [
+            0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            below_half,
+            0.5,
+            above(0.5),
+            1.0,
+            1.5,
+            2.5,
+            below(2.5),
+            4_503_599_627_370_495.5, // 2^52 - 0.5: the largest tie
+            below(4_503_599_627_370_495.5),
+            4_503_599_627_370_496.0, // 2^52
+            4_503_599_627_370_497.0,
+            9_007_199_254_740_992.0, // 2^53
+            above(9_007_199_254_740_992.0),
+            18_446_744_073_709_551_616.0, // 2^64: saturates
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for x in cases {
+            assert_eq!(round_positive(x), x.round() as u64, "x = {x:e}");
+        }
+        assert_eq!(round_positive(below_half), 0);
+        assert_eq!(round_positive(2.5), 3);
+        assert_eq!(Dur::from_secs_f64(1e300), Dur::micros(u64::MAX));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 4096, ..Default::default() })]
+
+        /// Integer rounding agrees with `f64::round` on random positive
+        /// doubles (uniform over bit patterns), and on `n + 0.5` and its
+        /// two neighbours for `n` below 2^53 (exact ties below 2^52).
+        #[test]
+        fn round_positive_matches_round(bits in 0u64..0x7FF0_0000_0000_0000, int in 0u64..1 << 53) {
+            let x = f64::from_bits(bits);
+            proptest::prop_assert_eq!(round_positive(x), x.round() as u64, "x = {:e}", x);
+            let tie = int as f64 + 0.5;
+            for y in [below(tie), tie, above(tie)] {
+                proptest::prop_assert_eq!(round_positive(y), y.round() as u64, "y = {:e}", y);
+            }
+        }
     }
 
     #[test]
