@@ -704,6 +704,140 @@ mod tests {
         parse_args(words.iter().map(|s| s.to_string()))
     }
 
+    use std::fmt::Write as _;
+
+    use ravel_harness::{run_cells, Cell, TraceSpec};
+    use ravel_net::{ChaosSpec, CorruptSpec};
+    use ravel_pipeline::{ContractSpec, Scheme, SessionConfig};
+    use ravel_sim::{Dur, Time};
+
+    /// Runs `cell` through the pool and renders its failing-cell report
+    /// exactly as the chaos (`corrupt = false`) or corruption sweep
+    /// prints it.
+    fn report_text(cell: &Cell, corrupt: bool) -> String {
+        let run = &run_cells(std::slice::from_ref(cell), 1)[0];
+        let mut out = String::new();
+        let broken = if corrupt {
+            run.failed_contracts()
+        } else {
+            Vec::new()
+        };
+        writeln!(out, "FAILING CELL {} [{}]:", run.label, run.status.name()).unwrap();
+        if let Some(failure) = &run.failure {
+            writeln!(out, "  {}", failure.detail).unwrap();
+        }
+        for v in &run.result.violations {
+            writeln!(out, "  {v}").unwrap();
+        }
+        for verdict in &broken {
+            writeln!(out, "  contract {}: {}", verdict.name, verdict.detail).unwrap();
+        }
+        if corrupt {
+            let spec = cell.cfg.corrupt.unwrap();
+            let schedule = CorruptSchedule::generate(spec, cell.cfg.duration);
+            match ravel_harness::shrink_corrupt_cell(cell, &schedule) {
+                Some(min) => {
+                    writeln!(
+                        out,
+                        "minimal corruption reproducer (seed={} intensity={}, {} of {} segments):",
+                        spec.seed,
+                        spec.intensity,
+                        min.segments.len(),
+                        schedule.segments.len()
+                    )
+                    .unwrap();
+                    out.push_str(&min.reproducer());
+                    writeln!(out, "{}", corrupt_violating_timeline(cell, &min)).unwrap();
+                }
+                None => writeln!(out, "  (failure did not reproduce under re-run)").unwrap(),
+            }
+        } else {
+            let spec = cell.cfg.chaos.unwrap();
+            let schedule = ChaosSchedule::generate(spec, cell.cfg.duration);
+            match shrink_cell(cell, &schedule) {
+                Some(min) => {
+                    writeln!(
+                        out,
+                        "minimal reproducer (seed={} intensity={}, {} of {} segments):",
+                        spec.seed,
+                        spec.intensity,
+                        min.segments.len(),
+                        schedule.segments.len()
+                    )
+                    .unwrap();
+                    out.push_str(&min.reproducer());
+                    writeln!(out, "{}", violating_timeline(cell, &min)).unwrap();
+                }
+                None => writeln!(out, "  (failure did not reproduce under re-run)").unwrap(),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn chaos_failing_cell_report_text_is_pinned() {
+        let mut cfg = SessionConfig::default_with(Scheme::adaptive());
+        cfg.duration = Dur::secs(4);
+        cfg.inject = InjectedFault::Panic {
+            at: Time::from_secs(1),
+        };
+        cfg.chaos = Some(ChaosSpec::new(7, 1.0));
+        let cell = Cell {
+            label: "boom".into(),
+            trace: TraceSpec::Constant(3e6),
+            cfg,
+            contracts: None,
+        };
+        assert_eq!(
+            report_text(&cell, false),
+            "FAILING CELL boom [panicked]:\n\
+             \x20 injected panic fixture at 1.000000\n\
+             minimal reproducer (seed=7 intensity=1, 0 of 6 segments):\n\
+             \x20 (empty schedule)\n\
+             boom: (session panicked; no timeline)\n\n"
+        );
+    }
+
+    #[test]
+    fn corrupt_failing_cell_report_text_is_pinned() {
+        let mut cfg = SessionConfig::default_with(Scheme::adaptive());
+        cfg.duration = Dur::secs(20);
+        cfg.record_series = true;
+        cfg.corrupt = Some(CorruptSpec::new(3, 0.5));
+        let cell = Cell {
+            label: "impossible".into(),
+            trace: TraceSpec::SuddenDrop {
+                pre_bps: 4e6,
+                after_bps: 1e6,
+                at: Time::from_secs(10),
+            },
+            cfg,
+            contracts: Some(
+                ContractSpec {
+                    recover_fraction: 4.0,
+                    ..ContractSpec::for_drop(Time::from_secs(10), 1e6)
+                }
+                .with_recover_within(Dur::SECOND),
+            ),
+        };
+        let text = report_text(&cell, true);
+        let (head, timeline) = text
+            .split_once("== timeline digest: impossible ==\n")
+            .expect("the report carries the minimized schedule's timeline");
+        assert_eq!(
+            head,
+            "FAILING CELL impossible [ok]:\n\
+             \x20 contract recover-rate: target never reached 4000000 bps after the drop at 10.000000\n\
+             minimal corruption reproducer (seed=3 intensity=0.5, 0 of 3 segments):\n\
+             \x20 (empty schedule)\n"
+        );
+        // The digest is long; pin its exact bytes by length and FNV-1a.
+        let fnv = timeline.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((timeline.len(), fnv), (2082, 0x3dec_ba74_a381_541a));
+    }
+
     #[test]
     fn defaults_are_sane() {
         let a = parse(&[]).unwrap();

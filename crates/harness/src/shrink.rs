@@ -392,6 +392,39 @@ mod tests {
     }
 
     #[test]
+    fn chaos_oracle_ignores_contracts_the_corruption_oracle_counts() {
+        // A chaos cell that runs clean but carries an impossible
+        // recovery contract: the chaos oracle (violation or panic) has
+        // nothing to shrink, while the corruption oracle (which also
+        // counts failed contract clauses) strips every segment.
+        let mut cfg = SessionConfig::default_with(Scheme::adaptive());
+        cfg.duration = Dur::secs(20);
+        cfg.record_series = true;
+        cfg.chaos = Some(ravel_net::ChaosSpec::new(5, 0.5));
+        let cell = Cell {
+            label: "impossible-chaos".into(),
+            trace: TraceSpec::SuddenDrop {
+                pre_bps: 4e6,
+                after_bps: 1e6,
+                at: Time::from_secs(10),
+            },
+            cfg,
+            contracts: Some(
+                ravel_pipeline::ContractSpec {
+                    recover_fraction: 4.0,
+                    ..ravel_pipeline::ContractSpec::for_drop(Time::from_secs(10), 1e6)
+                }
+                .with_recover_within(Dur::SECOND),
+            ),
+        };
+        let chaos = ChaosSchedule::from_segments(vec![seg(2, 3)]);
+        assert!(shrink_cell(&cell, &chaos).is_none());
+        let corrupt = CorruptSchedule::from_segments(vec![cseg(2, 4), cseg(6, 8)]);
+        let min = shrink_corrupt_cell(&cell, &corrupt).expect("contract failure counts");
+        assert!(min.is_empty(), "{}", min.reproducer());
+    }
+
+    #[test]
     fn healthy_corrupt_cell_yields_no_reproducer() {
         let mut cfg = SessionConfig::default_with(Scheme::adaptive());
         cfg.duration = Dur::secs(10);
