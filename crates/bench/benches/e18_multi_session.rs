@@ -1,7 +1,7 @@
 //! E18 — multi-session kernel throughput. Times a 32-session mixed
-//! population two ways: one `run_session` call per session (the old
-//! entry point, one event loop each) versus one `run_sessions` call
-//! interleaving every session through a single shared calendar queue.
+//! population two ways: one `run` call per session (a population of
+//! one each) versus one `run_many` call interleaving every session
+//! through a single shared calendar queue.
 //! Both produce identical results (asserted in `common`'s tests); the
 //! delta is pure kernel overhead.
 //!
@@ -13,7 +13,7 @@
 
 use criterion::{criterion_group, Criterion};
 use ravel_bench::common::{population, run_population, run_population_batched};
-use ravel_pipeline::run_session;
+use ravel_pipeline::run;
 use ravel_sim::Dur;
 
 const POP: usize = 32;
@@ -38,7 +38,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             population(POP, DUR)
                 .into_iter()
-                .map(|(trace, cfg)| run_session(trace, cfg))
+                .map(run)
                 .collect::<Vec<_>>()
         })
     });

@@ -2,10 +2,8 @@
 //! by `ravel-harness`, re-exported here for compatibility) and serial
 //! session helpers for the Criterion targets.
 
-use ravel_harness::ObsMode;
 use ravel_pipeline::{
-    run_session, run_sessions, run_sessions_pooled, KernelWorkspace, Scheme, SessionConfig,
-    SessionResult,
+    run, run_many, KernelWorkspace, Scheme, SessionConfig, SessionResult, SessionSpec,
 };
 use ravel_sim::Dur;
 use ravel_trace::{BandwidthTrace, StepTrace};
@@ -21,13 +19,16 @@ pub fn run_drop(scheme: Scheme, content: ContentClass, after_bps: f64) -> Sessio
     let mut cfg = SessionConfig::default_with(scheme);
     cfg.content = content;
     cfg.duration = SESSION_LEN;
-    run_session(StepTrace::sudden_drop(PRE_RATE, after_bps, DROP_AT), cfg)
+    run(SessionSpec::new(
+        StepTrace::sudden_drop(PRE_RATE, after_bps, DROP_AT),
+        cfg,
+    ))
 }
 
 /// Builds a mixed population of `n` drop sessions: schemes, content
 /// classes, drop depths, and seeds all vary with the session index so
 /// the interleaved kernel sees heterogeneous per-session state.
-pub fn population(n: usize, duration: Dur) -> Vec<(StepTrace, SessionConfig)> {
+pub fn population(n: usize, duration: Dur) -> Vec<SessionSpec<StepTrace>> {
     let contents = [
         ContentClass::TalkingHead,
         ContentClass::ScreenShare,
@@ -46,7 +47,7 @@ pub fn population(n: usize, duration: Dur) -> Vec<(StepTrace, SessionConfig)> {
             cfg.duration = duration;
             cfg.seed = i as u64 + 1;
             let after_bps = 0.8e6 + 0.2e6 * (i % 5) as f64;
-            (StepTrace::sudden_drop(PRE_RATE, after_bps, DROP_AT), cfg)
+            SessionSpec::new(StepTrace::sudden_drop(PRE_RATE, after_bps, DROP_AT), cfg)
         })
         .collect()
 }
@@ -54,10 +55,10 @@ pub fn population(n: usize, duration: Dur) -> Vec<(StepTrace, SessionConfig)> {
 /// Runs a [`population`] on the interleaved multi-session kernel —
 /// every session stepped from one shared event queue on one thread.
 pub fn run_population(n: usize, duration: Dur) -> Vec<SessionResult> {
-    run_sessions(population(n, duration))
+    run_many(population(n, duration), &mut KernelWorkspace::allocating())
 }
 
-/// Runs a [`population`] through the pooled kernel entry point in
+/// Runs a [`population`] through the interleaved kernel in
 /// batches of `batch` sessions, reusing ONE workspace across batches —
 /// the shape of work a batched harness worker performs. `pooled`
 /// selects the recycling payload arena; `false` is the allocating
@@ -78,7 +79,7 @@ pub fn run_population_batched(
     while !sessions.is_empty() {
         let rest = sessions.split_off(batch.max(1).min(sessions.len()));
         let chunk = std::mem::replace(&mut sessions, rest);
-        out.extend(run_sessions_pooled(chunk, ObsMode::Off, &mut ws));
+        out.extend(run_many(chunk, &mut ws));
     }
     out
 }
@@ -93,7 +94,7 @@ pub fn run_with<T: BandwidthTrace>(
     let mut cfg = SessionConfig::default_with(scheme);
     cfg.duration = SESSION_LEN;
     adjust(&mut cfg);
-    run_session(trace, cfg)
+    run(SessionSpec::new(trace, cfg))
 }
 
 #[cfg(test)]
@@ -117,10 +118,7 @@ mod tests {
     fn population_kernel_matches_sequential_sessions() {
         let dur = Dur::secs(8);
         let interleaved = run_population(4, dur);
-        let sequential: Vec<SessionResult> = population(4, dur)
-            .into_iter()
-            .map(|(trace, cfg)| run_session(trace, cfg))
-            .collect();
+        let sequential: Vec<SessionResult> = population(4, dur).into_iter().map(run).collect();
         assert_eq!(interleaved.len(), sequential.len());
         for (a, b) in interleaved.iter().zip(&sequential) {
             assert_eq!(a.events_processed, b.events_processed);

@@ -1,15 +1,8 @@
 //! The unit of parallel work: one `(scheme, trace, content, seed)`
 //! session, labelled for deterministic aggregation.
 
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
-
-use ravel_net::ChaosSchedule;
 use ravel_obs::ObsMode;
-use ravel_pipeline::{
-    run_session, run_session_guarded, run_session_obs, ContractSpec, SessionConfig, SessionGuard,
-    SessionResult,
-};
+use ravel_pipeline::{run, ContractSpec, SessionConfig, SessionResult, SessionSpec};
 use ravel_sim::{Dur, Time};
 use ravel_trace::{BandwidthTrace, CellularProfile, ConstantTrace, StepTrace, StochasticTrace};
 
@@ -115,10 +108,18 @@ pub struct Cell {
 }
 
 impl Cell {
+    /// The cell's session as a [`SessionSpec`]: a freshly built trace
+    /// and the standard run of its config. Every path that runs a cell
+    /// — the pool, the shrinker, the timeline renderer — starts here
+    /// and overrides fields with struct update syntax.
+    pub fn spec(&self) -> SessionSpec<Box<dyn BandwidthTrace>> {
+        SessionSpec::new(self.trace.build(), self.cfg)
+    }
+
     /// Runs the cell's session to completion. Pure: same cell, same
     /// result, on any thread.
     pub fn run(&self) -> SessionResult {
-        run_session(self.trace.build(), self.cfg)
+        run(self.spec())
     }
 
     /// [`Cell::run`] with an observability mode. The mode is *not* part
@@ -126,23 +127,7 @@ impl Cell {
     /// simulation, and the pool applies one mode uniformly per run, so
     /// cached results (which carry their obs log) stay interchangeable.
     pub fn run_obs(&self, obs: ObsMode) -> SessionResult {
-        run_session_obs(self.trace.build(), self.cfg, obs)
-    }
-
-    /// [`Cell::run_obs`] under the pool's fault isolation: the standard
-    /// runaway guard for this config, plus an optional cancellation
-    /// flag the pool's supervisor thread sets when the cell blows its
-    /// wall-clock deadline. With `cancel = None` this is behaviourally
-    /// identical to [`Cell::run_obs`] (the guard is always armed, but
-    /// healthy sessions never approach it).
-    pub fn run_guarded(&self, obs: ObsMode, cancel: Option<Arc<AtomicBool>>) -> SessionResult {
-        let mut guard = SessionGuard::for_config(&self.cfg);
-        guard.cancel = cancel;
-        let schedule = self
-            .cfg
-            .chaos
-            .map(|spec| ChaosSchedule::generate(spec, self.cfg.duration));
-        run_session_guarded(self.trace.build(), self.cfg, schedule, obs, guard)
+        run(SessionSpec { obs, ..self.spec() })
     }
 
     /// The cell's content address: a canonical string covering every

@@ -31,17 +31,18 @@
 //! timed out, runaway) is listed in a failure summary table and the
 //! process exits nonzero.
 
+use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use ravel_harness::{
-    corrupt_violating_timeline, default_jobs, experiments, render_json, render_timeline, run_soak,
-    run_suite_opts, shrink_cell, shrink_corrupt_cell, violating_timeline, BatchMode, CellRun,
-    ObsMode, PoolOptions, RunReport, SoakOptions, FIXTURE_FAULT_AT,
+    default_jobs, experiments, render_json, render_timeline, run_soak, run_suite_opts, shrink_cell,
+    violating_timeline, BatchMode, Cell, CellRun, FaultSchedule, ObsMode, PoolOptions, RunReport,
+    SoakOptions, FIXTURE_FAULT_AT,
 };
 use ravel_metrics::Table;
 use ravel_net::{ChaosSchedule, CorruptSchedule};
-use ravel_pipeline::InjectedFault;
+use ravel_pipeline::{ContractVerdict, InjectedFault};
 
 const USAGE: &str = "\
 ravel-harness — run the E1-E22 grid on a deterministic thread pool
@@ -486,97 +487,15 @@ fn main() -> ExitCode {
         println!("{}", t.render());
     }
 
-    // In chaos mode, shrink every failing cell — invariant violation or
-    // quarantined panic/runaway — to a minimal reproducer before
-    // deciding the exit code.
+    // In chaos and corrupt mode, shrink every failing cell to a minimal
+    // reproducer before deciding the exit code.
     let mut violating_cells = 0usize;
-    if args.chaos.is_some() {
+    if args.chaos.is_some() || args.corrupt.is_some() {
         for (exp, run) in selected.iter().zip(&report.experiments) {
             for (cell, cell_run) in exp.cells.iter().zip(&run.cells) {
-                if cell_run.ok() && cell_run.result.violations.is_empty() {
-                    continue;
-                }
-                violating_cells += 1;
-                println!(
-                    "FAILING CELL {} [{}]:",
-                    cell_run.label,
-                    cell_run.status.name()
-                );
-                if let Some(failure) = &cell_run.failure {
-                    println!("  {}", failure.detail);
-                }
-                for v in &cell_run.result.violations {
-                    println!("  {v}");
-                }
-                let spec = cell
-                    .cfg
-                    .chaos
-                    .expect("chaos sweep cells always carry a spec");
-                let schedule = ChaosSchedule::generate(spec, cell.cfg.duration);
-                match shrink_cell(cell, &schedule) {
-                    Some(min) => {
-                        println!(
-                            "minimal reproducer (seed={} intensity={}, {} of {} segments):",
-                            spec.seed,
-                            spec.intensity,
-                            min.segments.len(),
-                            schedule.segments.len()
-                        );
-                        print!("{}", min.reproducer());
-                        // The minimized schedule's event-level story:
-                        // re-run it with full observability and print
-                        // the timeline digest around the violation.
-                        println!("{}", violating_timeline(cell, &min));
-                    }
-                    None => println!("  (failure did not reproduce under re-run)"),
-                }
-            }
-        }
-    }
-
-    // In corrupt mode, a cell fails on an invariant violation OR a
-    // broken recovery contract; either way the corruption schedule is
-    // shrunk to the minimal set of segments that still breaks it.
-    if args.corrupt.is_some() {
-        for (exp, run) in selected.iter().zip(&report.experiments) {
-            for (cell, cell_run) in exp.cells.iter().zip(&run.cells) {
-                let broken = cell_run.failed_contracts();
-                if cell_run.ok() && cell_run.result.violations.is_empty() && broken.is_empty() {
-                    continue;
-                }
-                violating_cells += 1;
-                println!(
-                    "FAILING CELL {} [{}]:",
-                    cell_run.label,
-                    cell_run.status.name()
-                );
-                if let Some(failure) = &cell_run.failure {
-                    println!("  {}", failure.detail);
-                }
-                for v in &cell_run.result.violations {
-                    println!("  {v}");
-                }
-                for verdict in &broken {
-                    println!("  contract {}: {}", verdict.name, verdict.detail);
-                }
-                let spec = cell
-                    .cfg
-                    .corrupt
-                    .expect("corrupt sweep cells always carry a spec");
-                let schedule = CorruptSchedule::generate(spec, cell.cfg.duration);
-                match shrink_corrupt_cell(cell, &schedule) {
-                    Some(min) => {
-                        println!(
-                            "minimal corruption reproducer (seed={} intensity={}, {} of {} segments):",
-                            spec.seed,
-                            spec.intensity,
-                            min.segments.len(),
-                            schedule.segments.len()
-                        );
-                        print!("{}", min.reproducer());
-                        println!("{}", corrupt_violating_timeline(cell, &min));
-                    }
-                    None => println!("  (failure did not reproduce under re-run)"),
+                if let Some(text) = sweep_failure_report(cell, cell_run, args.corrupt.is_some()) {
+                    violating_cells += 1;
+                    print!("{text}");
                 }
             }
         }
@@ -584,7 +503,7 @@ fn main() -> ExitCode {
 
     // Recovery contracts gate every mode: a failed clause anywhere in
     // the grid (E21 carries them by default) fails the run.
-    let failed_clauses: Vec<(&CellRun, &ravel_pipeline::ContractVerdict)> = report
+    let failed_clauses: Vec<(&CellRun, &ContractVerdict)> = report
         .experiments
         .iter()
         .flat_map(|r| r.cells.iter())
@@ -663,6 +582,85 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The report for one chaos-sweep (`corrupt == false`) or
+/// corruption-sweep cell, or `None` when the cell passed. A chaos cell
+/// fails on an invariant violation or a quarantined panic/runaway; a
+/// corruption cell also fails on a broken recovery contract. Either
+/// way the sweep's schedule is shrunk against its kind's oracle.
+fn sweep_failure_report(cell: &Cell, run: &CellRun, corrupt: bool) -> Option<String> {
+    let broken = if corrupt {
+        run.failed_contracts()
+    } else {
+        Vec::new()
+    };
+    if run.ok() && run.result.violations.is_empty() && broken.is_empty() {
+        return None;
+    }
+    let duration = cell.cfg.duration;
+    Some(if corrupt {
+        let spec = cell
+            .cfg
+            .corrupt
+            .expect("corrupt sweep cells always carry a spec");
+        let header = format!(
+            "minimal corruption reproducer (seed={} intensity={}",
+            spec.seed, spec.intensity
+        );
+        let schedule = CorruptSchedule::generate(spec, duration);
+        failing_cell_report(cell, run, &broken, &schedule, &header)
+    } else {
+        let spec = cell
+            .cfg
+            .chaos
+            .expect("chaos sweep cells always carry a spec");
+        let header = format!(
+            "minimal reproducer (seed={} intensity={}",
+            spec.seed, spec.intensity
+        );
+        let schedule = ChaosSchedule::generate(spec, duration);
+        failing_cell_report(cell, run, &broken, &schedule, &header)
+    })
+}
+
+/// Renders a failing cell's status, failure detail, violations and
+/// `broken` contract clauses, then `schedule` shrunk against its kind's
+/// oracle: `header` completed with the segment counts, the minimal
+/// reproducer, and the minimized schedule's timeline digest.
+fn failing_cell_report<S: FaultSchedule>(
+    cell: &Cell,
+    run: &CellRun,
+    broken: &[&ContractVerdict],
+    schedule: &S,
+    header: &str,
+) -> String {
+    let mut out = format!("FAILING CELL {} [{}]:\n", run.label, run.status.name());
+    if let Some(failure) = &run.failure {
+        let _ = writeln!(out, "  {}", failure.detail);
+    }
+    for v in &run.result.violations {
+        let _ = writeln!(out, "  {v}");
+    }
+    for verdict in broken {
+        let _ = writeln!(out, "  contract {}: {}", verdict.name, verdict.detail);
+    }
+    match shrink_cell(cell, schedule) {
+        Some(min) => {
+            let _ = writeln!(
+                out,
+                "{header}, {} of {} segments):",
+                min.segment_count(),
+                schedule.segment_count()
+            );
+            out.push_str(&min.reproducer());
+            // The minimized schedule's event-level story: re-run it with
+            // full observability and print the timeline digest.
+            let _ = writeln!(out, "{}", violating_timeline(cell, &min));
+        }
+        None => out.push_str("  (failure did not reproduce under re-run)\n"),
+    }
+    out
+}
+
 /// `--soak SECS`: stream randomized cells until the wall budget
 /// expires, then print the merged tallies and per-failure reproducers.
 fn run_soak_mode(args: &Args, budget_s: u64) -> ExitCode {
@@ -704,9 +702,7 @@ mod tests {
         parse_args(words.iter().map(|s| s.to_string()))
     }
 
-    use std::fmt::Write as _;
-
-    use ravel_harness::{run_cells, Cell, TraceSpec};
+    use ravel_harness::{run_cells, TraceSpec};
     use ravel_net::{ChaosSpec, CorruptSpec};
     use ravel_pipeline::{ContractSpec, Scheme, SessionConfig};
     use ravel_sim::{Dur, Time};
@@ -716,62 +712,7 @@ mod tests {
     /// prints it.
     fn report_text(cell: &Cell, corrupt: bool) -> String {
         let run = &run_cells(std::slice::from_ref(cell), 1)[0];
-        let mut out = String::new();
-        let broken = if corrupt {
-            run.failed_contracts()
-        } else {
-            Vec::new()
-        };
-        writeln!(out, "FAILING CELL {} [{}]:", run.label, run.status.name()).unwrap();
-        if let Some(failure) = &run.failure {
-            writeln!(out, "  {}", failure.detail).unwrap();
-        }
-        for v in &run.result.violations {
-            writeln!(out, "  {v}").unwrap();
-        }
-        for verdict in &broken {
-            writeln!(out, "  contract {}: {}", verdict.name, verdict.detail).unwrap();
-        }
-        if corrupt {
-            let spec = cell.cfg.corrupt.unwrap();
-            let schedule = CorruptSchedule::generate(spec, cell.cfg.duration);
-            match ravel_harness::shrink_corrupt_cell(cell, &schedule) {
-                Some(min) => {
-                    writeln!(
-                        out,
-                        "minimal corruption reproducer (seed={} intensity={}, {} of {} segments):",
-                        spec.seed,
-                        spec.intensity,
-                        min.segments.len(),
-                        schedule.segments.len()
-                    )
-                    .unwrap();
-                    out.push_str(&min.reproducer());
-                    writeln!(out, "{}", corrupt_violating_timeline(cell, &min)).unwrap();
-                }
-                None => writeln!(out, "  (failure did not reproduce under re-run)").unwrap(),
-            }
-        } else {
-            let spec = cell.cfg.chaos.unwrap();
-            let schedule = ChaosSchedule::generate(spec, cell.cfg.duration);
-            match shrink_cell(cell, &schedule) {
-                Some(min) => {
-                    writeln!(
-                        out,
-                        "minimal reproducer (seed={} intensity={}, {} of {} segments):",
-                        spec.seed,
-                        spec.intensity,
-                        min.segments.len(),
-                        schedule.segments.len()
-                    )
-                    .unwrap();
-                    out.push_str(&min.reproducer());
-                    writeln!(out, "{}", violating_timeline(cell, &min)).unwrap();
-                }
-                None => writeln!(out, "  (failure did not reproduce under re-run)").unwrap(),
-            }
-        }
-        out
+        sweep_failure_report(cell, run, corrupt).expect("the cell fails")
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! ([`PoolOptions::batch`], default [`BatchMode::Auto`]), group each
 //! range into same-sim-horizon sub-batches, and drive every sub-batch
 //! as one session population through the interleaved kernel
-//! (`run_sessions_pooled`): one shared calendar queue and one
+//! (`ravel_pipeline::run_many`): one shared calendar queue and one
 //! event-payload arena per worker, reused batch after batch so
 //! steady-state event processing is allocation-free. De-interleaved
 //! results land in their grid slots exactly as the per-cell path would
@@ -25,7 +25,7 @@
 //! identical drop grid, and the canonical `talking-head/4→1 Mbps/gcc`
 //! cell recurs across most of E1–E17. Every cell has a content address
 //! ([`Cell::canonical_key`]); the pool keeps one in-process map from
-//! address to a [`Memo`] slot, so each *unique* cell simulates exactly
+//! address to a `Memo` slot, so each *unique* cell simulates exactly
 //! once per run no matter how many grid positions reference it. The
 //! first claimant reserves the address (possibly computing it inside a
 //! kernel batch); duplicates block on the memo and then clone the
@@ -35,10 +35,10 @@
 //!
 //! **Fault isolation.** One bad cell must not take down a
 //! thousand-cell sweep. Each simulation runs inside
-//! [`catch_unwind`](std::panic::catch_unwind), and the cache stores a
+//! [`catch_unwind`], and the cache stores a
 //! `Result` per content address: a panicked computation is recorded
 //! once and *echoed* deterministically at every grid position that
-//! addresses it — waiters on the `OnceLock` see the stored failure
+//! addresses it — waiters on the `Memo` slot see the stored failure
 //! instead of deadlocking, and the `thread::scope` never aborts. The
 //! kernel-level runaway guard (event budget + sim-time horizon, see
 //! `ravel_pipeline::SessionGuard`) surfaces here as
@@ -64,10 +64,9 @@ use std::time::{Duration, Instant};
 
 use ravel_obs::ObsMode;
 use ravel_pipeline::{
-    evaluate, run_sessions_pooled, ContractVerdict, Invariant, KernelWorkspace, SessionConfig,
-    SessionResult,
+    evaluate, run, run_many, ContractVerdict, Invariant, KernelWorkspace, SessionResult,
+    SessionSpec,
 };
-use ravel_trace::BandwidthTrace;
 
 use crate::cell::Cell;
 
@@ -428,10 +427,13 @@ fn execute_cell(cell: &Cell, opts: PoolOptions, slot: &WatchSlot) -> CachedCell 
     if let Some(flag) = &cancel {
         slot.arm(flag.clone());
     }
+    let mut spec = SessionSpec {
+        obs: opts.obs,
+        ..cell.spec()
+    };
+    spec.guard.cancel = cancel.clone();
     let started = Instant::now();
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        cell.run_guarded(opts.obs, cancel.clone())
-    }));
+    let caught = catch_unwind(AssertUnwindSafe(|| run(spec)));
     let wall = started.elapsed();
     if cancel.is_some() {
         slot.disarm();
@@ -508,9 +510,9 @@ pub fn run_cells(cells: &[Cell], jobs: usize) -> Vec<CellRun> {
 /// the determinism reference the tests compare against.
 ///
 /// With `opts.use_cache`, each unique content address simulates exactly
-/// once: the first worker to claim an address computes it inside a
-/// per-address [`OnceLock`]; later claimants (and concurrent claimants,
-/// which block on the same lock) clone the finished outcome — including
+/// once: the first worker to claim an address computes it and fulfills
+/// the address's memo slot; later claimants (and concurrent claimants,
+/// which block on the same slot) clone the finished outcome — including
 /// quarantined failures, which echo identically at every position.
 pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<CellRun>, PoolStats) {
     let keys: Vec<String> = cells.iter().map(Cell::canonical_key).collect();
@@ -554,9 +556,9 @@ pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<Ce
                 let mut busy = Duration::ZERO;
                 // Per-worker kernel scratch, reused across batches so
                 // the queue's bucket Vecs and the payload arena's free
-                // list stay warm. The per-cell path (batch 1) keeps
-                // the historical solo kernel and never touches it.
-                let mut ws = (batch > 1).then(KernelWorkspace::new);
+                // list stay warm. The per-cell path (batch 1) runs on
+                // the allocating oracle and never touches it.
+                let mut ws = KernelWorkspace::new();
                 loop {
                     let start = next.fetch_add(batch, Ordering::Relaxed);
                     if start >= cells.len() {
@@ -598,7 +600,7 @@ pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<Ce
                             start..end,
                             opts,
                             cache,
-                            ws.as_mut().expect("workspace exists when batch > 1"),
+                            &mut ws,
                             slot,
                             slots,
                             &mut busy,
@@ -606,8 +608,8 @@ pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<Ce
                         );
                     }
                 }
-                if let Some(ws) = &ws {
-                    let stats = ws.arena_stats();
+                let stats = ws.arena_stats();
+                {
                     let mut total = arena_total.lock().expect("arena total poisoned");
                     total.0 += stats.allocs_avoided;
                     total.1 = total.1.max(stats.high_water);
@@ -716,14 +718,15 @@ fn run_batch<'g>(
             }
         }
         if !computing.is_empty() {
-            let sessions: Vec<(Box<dyn BandwidthTrace>, SessionConfig)> = computing
+            let specs = computing
                 .iter()
-                .map(|&(i, _)| (cells[i].trace.build(), cells[i].cfg))
+                .map(|&(i, _)| SessionSpec {
+                    obs: opts.obs,
+                    ..cells[i].spec()
+                })
                 .collect();
             let started = Instant::now();
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                run_sessions_pooled(sessions, opts.obs, ws)
-            }));
+            let attempt = catch_unwind(AssertUnwindSafe(|| run_many(specs, ws)));
             let wall = started.elapsed();
             match attempt {
                 Ok(results) => {

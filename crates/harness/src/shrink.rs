@@ -1,11 +1,11 @@
 //! Failing-schedule minimization.
 //!
-//! When a chaos cell violates a session invariant, the raw schedule is a
-//! poor bug report: it interleaves several faults, most of which are
-//! irrelevant to the violation. [`shrink_schedule`] minimizes it the way
+//! When a chaos or corruption cell fails, the raw schedule is a poor bug
+//! report: it interleaves several faults, most of which are irrelevant
+//! to the failure. [`shrink`] minimizes any [`FaultSchedule`] the way
 //! property-testing shrinkers do — greedily, against a caller-supplied
 //! oracle — so the printed reproducer carries only the segments (at
-//! close to their minimal durations) that still trigger the violation.
+//! close to their minimal durations) that still trigger the failure.
 //!
 //! The shrinker is deterministic: candidate order is a pure function of
 //! the schedule, and the oracle re-runs the *same* seeded session, so
@@ -15,11 +15,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ravel_net::{ChaosSchedule, CorruptSchedule};
 use ravel_obs::ObsMode;
-use ravel_pipeline::{
-    all_pass, evaluate, run_session_chaos, run_session_chaos_obs, run_session_corrupt,
-    run_session_corrupt_obs, SessionResult,
-};
-use ravel_sim::Dur;
+use ravel_pipeline::{all_pass, evaluate, run, SessionResult, SessionSpec};
+use ravel_sim::{Dur, Time};
 
 use crate::cell::Cell;
 
@@ -27,6 +24,99 @@ use crate::cell::Cell;
 /// segment is indistinguishable from no fault for every fault kind (a
 /// sub-100 ms blackout is one pacer tick).
 pub const MIN_SEGMENT: Dur = Dur::millis(100);
+
+/// A seeded fault schedule the shrinker can minimize: an ordered list
+/// of timed segments that fills one [`SessionSpec`] slot, plus the
+/// failure oracle for its kind of fault.
+pub trait FaultSchedule: Clone {
+    /// Number of segments.
+    fn segment_count(&self) -> usize;
+    /// Drops segment `i`.
+    fn remove(&mut self, i: usize);
+    /// Segment `i`'s `(from, until)` span.
+    fn span(&self, i: usize) -> (Time, Time);
+    /// Moves segment `i`'s end to `until`.
+    fn set_end(&mut self, i: usize, until: Time);
+    /// The [`SessionSpec`] slot a schedule of this kind fills.
+    fn slot<T>(spec: &mut SessionSpec<T>) -> &mut Option<Self>;
+    /// True when `result` counts as `cell` failing under this kind of
+    /// fault (a panicking run always counts, see [`shrink_cell`]).
+    fn fails(cell: &Cell, result: &SessionResult) -> bool;
+    /// A human-readable reproducer spec, one line per segment.
+    fn reproducer(&self) -> String;
+}
+
+impl FaultSchedule for ChaosSchedule {
+    fn segment_count(&self) -> usize {
+        self.segments.len()
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.segments.remove(i);
+    }
+
+    fn span(&self, i: usize) -> (Time, Time) {
+        (self.segments[i].from, self.segments[i].until)
+    }
+
+    fn set_end(&mut self, i: usize, until: Time) {
+        self.segments[i].until = until;
+    }
+
+    fn slot<T>(spec: &mut SessionSpec<T>) -> &mut Option<Self> {
+        &mut spec.chaos
+    }
+
+    /// Any invariant violation, including
+    /// [`runaway-termination`](ravel_pipeline::Invariant::RunawayTermination).
+    /// Contracts are deliberately ignored: a chaos reproducer names the
+    /// faults that break the session's laws.
+    fn fails(_cell: &Cell, result: &SessionResult) -> bool {
+        !result.violations.is_empty()
+    }
+
+    fn reproducer(&self) -> String {
+        ChaosSchedule::reproducer(self)
+    }
+}
+
+impl FaultSchedule for CorruptSchedule {
+    fn segment_count(&self) -> usize {
+        self.segments.len()
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.segments.remove(i);
+    }
+
+    fn span(&self, i: usize) -> (Time, Time) {
+        (self.segments[i].from, self.segments[i].until)
+    }
+
+    fn set_end(&mut self, i: usize, until: Time) {
+        self.segments[i].until = until;
+    }
+
+    fn slot<T>(spec: &mut SessionSpec<T>) -> &mut Option<Self> {
+        &mut spec.corrupt
+    }
+
+    /// Any invariant violation, or — when the cell declares a recovery
+    /// contract — any failed contract clause: a corruption schedule's
+    /// usual damage is not a broken conservation law but a broken
+    /// recovery promise.
+    fn fails(cell: &Cell, result: &SessionResult) -> bool {
+        !result.violations.is_empty()
+            || cell
+                .contracts
+                .as_ref()
+                .is_some_and(|spec| !all_pass(&evaluate(spec, result)))
+    }
+
+    fn reproducer(&self) -> String {
+        CorruptSchedule::reproducer(self)
+    }
+}
 
 /// Minimizes `schedule` while `violates` keeps returning `true`.
 ///
@@ -43,19 +133,16 @@ pub const MIN_SEGMENT: Dur = Dur::millis(100);
 /// any remaining segment, or halving any remaining duration, makes the
 /// violation disappear. `violates(&schedule)` must be `true` on entry —
 /// callers should only shrink schedules they have already seen fail.
-pub fn shrink_schedule(
-    schedule: &ChaosSchedule,
-    mut violates: impl FnMut(&ChaosSchedule) -> bool,
-) -> ChaosSchedule {
+pub fn shrink<S: FaultSchedule>(schedule: &S, mut violates: impl FnMut(&S) -> bool) -> S {
     let mut current = schedule.clone();
 
     // Pass 1: drop whole segments to fixpoint.
     loop {
         let mut removed_any = false;
         let mut i = 0;
-        while i < current.segments.len() {
+        while i < current.segment_count() {
             let mut candidate = current.clone();
-            candidate.segments.remove(i);
+            candidate.remove(i);
             if violates(&candidate) {
                 current = candidate;
                 removed_any = true;
@@ -70,16 +157,15 @@ pub fn shrink_schedule(
     }
 
     // Pass 2: halve each surviving segment's duration to fixpoint.
-    for i in 0..current.segments.len() {
+    for i in 0..current.segment_count() {
         loop {
-            let seg = &current.segments[i];
-            let dur = seg.until.saturating_since(seg.from);
-            let halved = Dur::from_secs_f64(dur.as_secs_f64() / 2.0);
+            let (from, until) = current.span(i);
+            let halved = Dur::from_secs_f64(until.saturating_since(from).as_secs_f64() / 2.0);
             if halved < MIN_SEGMENT {
                 break;
             }
             let mut candidate = current.clone();
-            candidate.segments[i].until = candidate.segments[i].from + halved;
+            candidate.set_end(i, from + halved);
             if violates(&candidate) {
                 current = candidate;
             } else {
@@ -91,131 +177,35 @@ pub fn shrink_schedule(
     current
 }
 
+/// Runs `cell`'s seeded session with `schedule` in its slot. The cell's
+/// other schedule (if any) still generates from its config, so a
+/// minimized schedule is valid in the exact environment that failed.
+fn run_with<S: FaultSchedule>(cell: &Cell, schedule: &S, obs: ObsMode) -> SessionResult {
+    let mut spec = SessionSpec { obs, ..cell.spec() };
+    *S::slot(&mut spec) = Some(schedule.clone());
+    run(spec)
+}
+
 /// Shrinks the schedule that made `cell` fail, using a fresh
 /// deterministic session per probe as the oracle. A probe counts as
-/// failing if it reports any invariant violation (including
-/// [`runaway-termination`](ravel_pipeline::Invariant::RunawayTermination))
-/// **or** panics outright — panicking probes are quarantined with
+/// failing if [`FaultSchedule::fails`] says so for its kind **or** it
+/// panics outright — panicking probes are quarantined with
 /// `catch_unwind`, so shrinking a crashing cell minimizes the crash
 /// reproducer instead of tearing down the harness. Returns the minimal
 /// schedule, or `None` if the cell does not actually fail with the
 /// given schedule (nothing to shrink — e.g. the failure was a harness
 /// bug, not a session one).
-pub fn shrink_cell(cell: &Cell, schedule: &ChaosSchedule) -> Option<ChaosSchedule> {
-    let violates = |s: &ChaosSchedule| {
+pub fn shrink_cell<S: FaultSchedule>(cell: &Cell, schedule: &S) -> Option<S> {
+    let violates = |s: &S| {
         catch_unwind(AssertUnwindSafe(|| {
-            !run_session_chaos(cell.trace.build(), cell.cfg, Some(s.clone()))
-                .violations
-                .is_empty()
+            S::fails(cell, &run_with(cell, s, ObsMode::Off))
         }))
         .unwrap_or(true)
     };
     if !violates(schedule) {
         return None;
     }
-    Some(shrink_schedule(schedule, violates))
-}
-
-/// Minimizes a feedback-corruption schedule while `violates` keeps
-/// returning `true` — the control-plane twin of [`shrink_schedule`],
-/// with the same two greedy fixpoint passes (segment removal, then
-/// duration halving down to [`MIN_SEGMENT`]).
-pub fn shrink_corrupt_schedule(
-    schedule: &CorruptSchedule,
-    mut violates: impl FnMut(&CorruptSchedule) -> bool,
-) -> CorruptSchedule {
-    let mut current = schedule.clone();
-
-    loop {
-        let mut removed_any = false;
-        let mut i = 0;
-        while i < current.segments.len() {
-            let mut candidate = current.clone();
-            candidate.segments.remove(i);
-            if violates(&candidate) {
-                current = candidate;
-                removed_any = true;
-            } else {
-                i += 1;
-            }
-        }
-        if !removed_any {
-            break;
-        }
-    }
-
-    for i in 0..current.segments.len() {
-        loop {
-            let seg = &current.segments[i];
-            let dur = seg.until.saturating_since(seg.from);
-            let halved = Dur::from_secs_f64(dur.as_secs_f64() / 2.0);
-            if halved < MIN_SEGMENT {
-                break;
-            }
-            let mut candidate = current.clone();
-            candidate.segments[i].until = candidate.segments[i].from + halved;
-            if violates(&candidate) {
-                current = candidate;
-            } else {
-                break;
-            }
-        }
-    }
-
-    current
-}
-
-/// True when the finished session counts as failing for corruption
-/// shrinking: any invariant violation, or — when the cell declares a
-/// recovery contract — any failed contract clause. Contract failures
-/// matter here because a corruption schedule's usual damage is not a
-/// broken conservation law but a broken recovery promise.
-fn corrupt_fails(cell: &Cell, result: &SessionResult) -> bool {
-    if !result.violations.is_empty() {
-        return true;
-    }
-    match &cell.contracts {
-        Some(spec) => !all_pass(&evaluate(spec, result)),
-        None => false,
-    }
-}
-
-/// Shrinks the corruption schedule that made `cell` fail, re-running
-/// the seeded session per probe. A probe counts as failing on an
-/// invariant violation, a failed recovery-contract clause, or a panic
-/// (quarantined with `catch_unwind`). Returns `None` when the cell
-/// does not actually fail under the given schedule. The cell's chaos
-/// spec (if any) stays active throughout, so the minimized corruption
-/// schedule is valid in the exact environment that failed.
-pub fn shrink_corrupt_cell(cell: &Cell, schedule: &CorruptSchedule) -> Option<CorruptSchedule> {
-    let violates = |s: &CorruptSchedule| {
-        catch_unwind(AssertUnwindSafe(|| {
-            let result = run_session_corrupt(cell.trace.build(), cell.cfg, Some(s.clone()));
-            corrupt_fails(cell, &result)
-        }))
-        .unwrap_or(true)
-    };
-    if !violates(schedule) {
-        return None;
-    }
-    Some(shrink_corrupt_schedule(schedule, violates))
-}
-
-/// [`violating_timeline`]'s corruption twin: re-runs the cell under the
-/// (minimized) corruption schedule with full observability and renders
-/// the timeline digest.
-pub fn corrupt_violating_timeline(cell: &Cell, schedule: &CorruptSchedule) -> String {
-    catch_unwind(AssertUnwindSafe(|| {
-        run_session_corrupt_obs(
-            cell.trace.build(),
-            cell.cfg,
-            Some(schedule.clone()),
-            ObsMode::Full,
-        )
-        .obs
-        .digest(&cell.label)
-    }))
-    .unwrap_or_else(|_| format!("{}: (session panicked; no timeline)\n", cell.label))
+    Some(shrink(schedule, violates))
 }
 
 /// Re-runs the cell's seeded session under `schedule` with full
@@ -226,16 +216,11 @@ pub fn corrupt_violating_timeline(cell: &Cell, schedule: &CorruptSchedule) -> St
 /// Panicking cells have no timeline to render; for those the digest is
 /// replaced with a fixed placeholder so callers printing a minimized
 /// crash reproducer still get deterministic output.
-pub fn violating_timeline(cell: &Cell, schedule: &ChaosSchedule) -> String {
+pub fn violating_timeline<S: FaultSchedule>(cell: &Cell, schedule: &S) -> String {
     catch_unwind(AssertUnwindSafe(|| {
-        run_session_chaos_obs(
-            cell.trace.build(),
-            cell.cfg,
-            Some(schedule.clone()),
-            ObsMode::Full,
-        )
-        .obs
-        .digest(&cell.label)
+        run_with(cell, schedule, ObsMode::Full)
+            .obs
+            .digest(&cell.label)
     }))
     .unwrap_or_else(|_| format!("{}: (session panicked; no timeline)\n", cell.label))
 }
@@ -260,7 +245,7 @@ mod tests {
     fn drops_irrelevant_segments() {
         // Oracle: violates iff a segment overlaps t=10s.
         let sched = ChaosSchedule::from_segments(vec![seg(2, 3), seg(9, 11), seg(15, 16)]);
-        let min = shrink_schedule(&sched, |s| {
+        let min = shrink(&sched, |s| {
             s.segments
                 .iter()
                 .any(|g| g.from <= Time::from_secs(10) && g.until >= Time::from_secs(10))
@@ -273,7 +258,7 @@ mod tests {
     fn halves_durations_to_the_oracle_boundary() {
         // Violates while the (single) segment is at least 1 s long.
         let sched = ChaosSchedule::from_segments(vec![seg(5, 13)]);
-        let min = shrink_schedule(&sched, |s| {
+        let min = shrink(&sched, |s| {
             s.segments
                 .iter()
                 .any(|g| g.until.saturating_since(g.from) >= Dur::SECOND)
@@ -287,7 +272,7 @@ mod tests {
     #[test]
     fn can_shrink_to_empty_when_oracle_always_fires() {
         let sched = ChaosSchedule::from_segments(vec![seg(1, 2), seg(3, 4)]);
-        let min = shrink_schedule(&sched, |_| true);
+        let min = shrink(&sched, |_| true);
         assert!(min.is_empty());
     }
 
@@ -319,8 +304,8 @@ mod tests {
     fn shrinking_is_deterministic() {
         let sched = ChaosSchedule::from_segments(vec![seg(2, 6), seg(8, 12), seg(14, 18)]);
         let oracle = |s: &ChaosSchedule| s.segments.len() >= 2;
-        let a = shrink_schedule(&sched, oracle);
-        let b = shrink_schedule(&sched, oracle);
+        let a = shrink(&sched, oracle);
+        let b = shrink(&sched, oracle);
         assert_eq!(a, b);
         assert_eq!(a.segments.len(), 2);
     }
@@ -339,7 +324,7 @@ mod tests {
         let sched = CorruptSchedule::from_segments(vec![cseg(2, 3), cseg(8, 16), cseg(20, 21)]);
         // Oracle: violates iff a segment at least 1 s long overlaps
         // t=10 s.
-        let min = shrink_corrupt_schedule(&sched, |s| {
+        let min = shrink(&sched, |s| {
             s.segments.iter().any(|g| {
                 g.from <= Time::from_secs(10)
                     && g.until >= Time::from_secs(10)
@@ -381,10 +366,10 @@ mod tests {
             ),
         };
         let sched = CorruptSchedule::from_segments(vec![cseg(2, 4), cseg(6, 8)]);
-        let min = shrink_corrupt_cell(&cell, &sched).expect("contract failure counts");
+        let min = shrink_cell(&cell, &sched).expect("contract failure counts");
         assert!(min.is_empty(), "{}", min.reproducer());
         // And the timeline digest for the minimized schedule renders.
-        let digest = corrupt_violating_timeline(&cell, &min);
+        let digest = violating_timeline(&cell, &min);
         assert!(
             digest.starts_with("== timeline digest: impossible =="),
             "{digest}"
@@ -420,7 +405,7 @@ mod tests {
         let chaos = ChaosSchedule::from_segments(vec![seg(2, 3)]);
         assert!(shrink_cell(&cell, &chaos).is_none());
         let corrupt = CorruptSchedule::from_segments(vec![cseg(2, 4), cseg(6, 8)]);
-        let min = shrink_corrupt_cell(&cell, &corrupt).expect("contract failure counts");
+        let min = shrink_cell(&cell, &corrupt).expect("contract failure counts");
         assert!(min.is_empty(), "{}", min.reproducer());
     }
 
@@ -435,6 +420,6 @@ mod tests {
             contracts: None,
         };
         let sched = CorruptSchedule::from_segments(vec![cseg(2, 4)]);
-        assert!(shrink_corrupt_cell(&cell, &sched).is_none());
+        assert!(shrink_cell(&cell, &sched).is_none());
     }
 }

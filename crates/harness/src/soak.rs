@@ -26,15 +26,15 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use ravel_core::WatchdogConfig;
-use ravel_net::{ChaosSchedule, ChaosSpec, CorruptSchedule, CorruptSpec, ReversePathConfig};
+use ravel_net::{ChaosSpec, CorruptSpec, ReversePathConfig};
 use ravel_obs::ObsMode;
-use ravel_pipeline::{Scheme, SessionConfig};
+use ravel_pipeline::{Scheme, SessionConfig, SessionSpec};
 use ravel_sim::{Dur, Rng, Time};
 use ravel_video::ContentClass;
 
 use crate::cell::{Cell, TraceSpec};
 use crate::pool::{run_cells_opts, BatchMode, CellRun, CellStatus, PoolOptions, PoolStats};
-use crate::shrink::{shrink_cell, shrink_corrupt_cell};
+use crate::shrink::{shrink_cell, FaultSchedule};
 
 /// RNG substream tag for soak cell generation (distinct from the chaos
 /// schedule's `0xC4A0` and the session substreams).
@@ -264,15 +264,10 @@ fn absorb(outcome: &mut SoakOutcome, first_index: u64, cells: &[Cell], runs: &[C
         for v in &run.result.violations {
             let _ = writeln!(detail, "{v}");
         }
-        let chaos_repro = cell.cfg.chaos.and_then(|spec| {
-            let schedule = ChaosSchedule::generate(spec, cell.cfg.duration);
-            shrink_cell(cell, &schedule).map(|min| min.reproducer())
-        });
-        let corrupt_repro = cell.cfg.corrupt.and_then(|spec| {
-            let schedule = CorruptSchedule::generate(spec, cell.cfg.duration);
-            shrink_corrupt_cell(cell, &schedule)
-                .map(|min| format!("corrupt:\n{}", min.reproducer()))
-        });
+        // The schedules exactly as the cell's run generated them.
+        let SessionSpec { chaos, corrupt, .. } = cell.spec();
+        let chaos_repro = shrunk(cell, chaos);
+        let corrupt_repro = shrunk(cell, corrupt).map(|r| format!("corrupt:\n{r}"));
         let reproducer = match (chaos_repro, corrupt_repro) {
             (None, None) => None,
             (a, b) => Some([a, b].into_iter().flatten().collect::<String>()),
@@ -286,6 +281,13 @@ fn absorb(outcome: &mut SoakOutcome, first_index: u64, cells: &[Cell], runs: &[C
             reproducer,
         });
     }
+}
+
+/// The reproducer of `schedule` shrunk against its kind's oracle, or
+/// `None` when the cell carries no such schedule or its failure does
+/// not reproduce under it.
+fn shrunk<S: FaultSchedule>(cell: &Cell, schedule: Option<S>) -> Option<String> {
+    shrink_cell(cell, &schedule?).map(|min| min.reproducer())
 }
 
 /// Runs the soak: batches of `jobs × 4` cells until `opts.budget`

@@ -2,9 +2,9 @@
 //! (collected, not panicked), and the shrinker minimizes the failing
 //! schedule down to a printable minimal reproducer.
 
-use ravel_harness::{shrink_cell, shrink_schedule, Cell, TraceSpec, MIN_SEGMENT};
+use ravel_harness::{shrink, shrink_cell, Cell, TraceSpec, MIN_SEGMENT};
 use ravel_net::{ChaosSchedule, ChaosSpec, FaultKind, FaultSegment};
-use ravel_pipeline::{run_session_chaos, Invariant, Scheme, SessionConfig};
+use ravel_pipeline::{run, Invariant, Scheme, SessionConfig, SessionSpec};
 use ravel_sim::{Dur, Time};
 
 fn blackout(from_s: u64, until_s: u64) -> FaultSegment {
@@ -43,7 +43,10 @@ fn broken_invariant_is_caught_and_shrunk_to_a_minimal_reproducer() {
 
     // Caught: the session completes and reports the violation instead
     // of panicking.
-    let result = run_session_chaos(cell.trace.build(), cell.cfg, Some(schedule.clone()));
+    let result = run(SessionSpec {
+        chaos: Some(schedule.clone()),
+        ..cell.spec()
+    });
     assert!(
         result
             .violations
@@ -59,7 +62,10 @@ fn broken_invariant_is_caught_and_shrunk_to_a_minimal_reproducer() {
     assert_eq!(min.segments.len(), 1, "reproducer: {}", min.reproducer());
     let dur = min.segments[0].until.saturating_since(min.segments[0].from);
     assert!(dur >= MIN_SEGMENT && dur < Dur::SECOND, "dur={dur}");
-    let re_run = run_session_chaos(cell.trace.build(), cell.cfg, Some(min.clone()));
+    let re_run = run(SessionSpec {
+        chaos: Some(min.clone()),
+        ..cell.spec()
+    });
     assert!(
         !re_run.violations.is_empty(),
         "minimized schedule must still violate"
@@ -91,7 +97,7 @@ fn healthy_cell_has_nothing_to_shrink() {
 #[test]
 fn shrinker_never_returns_a_passing_schedule() {
     // Property over the public shrinker: whatever the oracle, the
-    // output still satisfies it (shrink_schedule only keeps candidates
+    // output still satisfies it (shrink only keeps candidates
     // the oracle accepted).
     let sched = ChaosSchedule::from_segments(vec![blackout(1, 4), blackout(6, 9)]);
     let oracle = |s: &ChaosSchedule| {
@@ -101,6 +107,6 @@ fn shrinker_never_returns_a_passing_schedule() {
             .fold(Dur::ZERO, |a, d| a + d)
             >= Dur::SECOND
     };
-    let min = shrink_schedule(&sched, oracle);
+    let min = shrink(&sched, oracle);
     assert!(oracle(&min), "shrunk schedule stopped violating");
 }

@@ -1,7 +1,7 @@
 //! Session invariants: laws every run must obey, chaos or not.
 //!
-//! [`run_session`](crate::run_session) threads an [`InvariantChecker`]
-//! through the event loop and the display post-pass. Violations are
+//! [`run`](crate::run) threads an [`InvariantChecker`] through the
+//! event loop and the display post-pass. Violations are
 //! *collected, not panicked*: they surface in
 //! [`SessionResult::violations`](crate::SessionResult) so a harness can
 //! report them per cell, shrink the schedule that caused them, and fail

@@ -10,9 +10,11 @@
 //!        (reports return over the reverse path → GCC → controller)
 //! ```
 //!
-//! One call to [`run_session`] produces a [`SessionResult`] holding the
-//! per-frame latency/quality records and optional time series — the raw
-//! material for every table and figure in EXPERIMENTS.md.
+//! One call to [`run`] with a [`SessionSpec`] produces a
+//! [`SessionResult`] holding the per-frame latency/quality records and
+//! optional time series — the raw material for every table and figure
+//! in EXPERIMENTS.md. [`run_many`] interleaves a population of specs
+//! over one shared event queue with identical per-session results.
 //!
 //! The **baseline** scheme is GCC driving the encoder through the
 //! production slow path (`set_target_bitrate`); the **adaptive** scheme
@@ -32,9 +34,6 @@ pub use contracts::{all_pass, evaluate, ContractSpec, ContractVerdict};
 pub use invariants::{Invariant, InvariantChecker, InvariantViolation};
 pub use scheme::{CcKind, Scheme};
 pub use session::{
-    run_session, run_session_chaos, run_session_chaos_obs, run_session_corrupt,
-    run_session_corrupt_obs, run_session_faults, run_session_guarded, run_session_obs,
-    run_sessions, run_sessions_obs, run_sessions_pooled, InjectedFault, KernelWorkspace,
-    SessionConfig, SessionGuard, SessionResult, CANCEL_POLL_EVERY_EVENTS, RUNAWAY_BASE_EVENTS,
-    RUNAWAY_EVENTS_PER_SIM_SEC,
+    run, run_many, InjectedFault, KernelWorkspace, SessionConfig, SessionGuard, SessionResult,
+    SessionSpec, CANCEL_POLL_EVERY_EVENTS, RUNAWAY_BASE_EVENTS, RUNAWAY_EVENTS_PER_SIM_SEC,
 };

@@ -1,13 +1,12 @@
 //! The discrete-event session loop.
 //!
-//! The session is an explicit poll-based state machine: [`SessionState`]
-//! holds every piece of sender/receiver state, and the event kernel
-//! (single- or multi-session) pops events off an [`EventQueue`] and
-//! feeds them to [`SessionState::step`]. One worker thread can
-//! interleave thousands of sessions over a shared queue via
-//! [`run_sessions`]; the classic [`run_session`] entry points drive a
-//! single state machine over a private queue and are byte-identical to
-//! the historical monolithic loop.
+//! The session is an explicit poll-based state machine: `SessionState`
+//! holds every piece of sender/receiver state, and the event kernel pops
+//! events off a shared [`EventQueue`] and feeds them to
+//! `SessionState::step`. A [`SessionSpec`] describes one run; [`run`]
+//! drives a population of one, and [`run_many`] interleaves a whole
+//! population over one queue, each result byte-identical to its solo
+//! run.
 
 use std::collections::VecDeque;
 use std::mem;
@@ -369,9 +368,8 @@ pub struct SessionResult {
     /// [`SessionGuard`] before it finished: the result is a truncated
     /// prefix, and the pool reports the cell as timed out.
     pub cancelled: bool,
-    /// Observability log: empty (and cost-free) unless the session was
-    /// started through an `_obs` entry point with a mode other than
-    /// [`ObsMode::Off`]. Stamped exclusively with simulation time, so
+    /// Observability log: empty (and cost-free) unless the session's
+    /// [`SessionSpec::obs`] was a mode other than [`ObsMode::Off`]. Stamped exclusively with simulation time, so
     /// its digest is byte-identical across reruns, worker counts, and
     /// cache hits.
     pub obs: ObsLog,
@@ -469,150 +467,122 @@ const FREEZE_TERMINATION_BOUND: Dur = Dur::secs(4);
 /// rate-recovery invariant.
 const RECOVERY_CAPACITY_PROBE: Dur = Dur::millis(500);
 
-/// Runs one session over `trace` and returns its measurements.
+/// Everything one session run consumes: the capacity trace, the
+/// config, the two fault schedules, the observability mode and the
+/// runaway guard.
 ///
-/// If `cfg.chaos` is set, the fault schedule is generated from it and
-/// applied; see [`run_session_chaos`] to supply an explicit schedule
-/// (the shrinker's entry point).
-pub fn run_session<T: BandwidthTrace>(trace: T, cfg: SessionConfig) -> SessionResult {
-    run_session_obs(trace, cfg, ObsMode::Off)
+/// [`SessionSpec::new`] fills in the standard run; callers override
+/// fields with struct update syntax:
+///
+/// ```
+/// use ravel_obs::ObsMode;
+/// use ravel_pipeline::{run, Scheme, SessionConfig, SessionSpec};
+/// use ravel_sim::Dur;
+/// use ravel_trace::ConstantTrace;
+///
+/// let mut cfg = SessionConfig::default_with(Scheme::adaptive());
+/// cfg.duration = Dur::secs(2);
+/// let result = run(SessionSpec {
+///     obs: ObsMode::Counters,
+///     ..SessionSpec::new(ConstantTrace::new(3e6), cfg)
+/// });
+/// assert!(result.frames_encoded > 0);
+/// ```
+#[derive(Debug, Clone)]
+pub struct SessionSpec<T> {
+    /// The capacity process the bottleneck link follows.
+    pub trace: T,
+    /// The session configuration.
+    pub cfg: SessionConfig,
+    /// The forward-path fault schedule. Recovery bounds for the chaos
+    /// invariants still come from `cfg.chaos` (defaults apply when it
+    /// is `None`). An empty or absent schedule is exact passthrough:
+    /// zero extra RNG draws, capacity multiplied by exactly `1.0`.
+    pub chaos: Option<ChaosSchedule>,
+    /// The feedback-corruption schedule. An empty or absent schedule is
+    /// exact passthrough: zero extra RNG draws.
+    pub corrupt: Option<CorruptSchedule>,
+    /// Observability mode. [`ObsMode::Off`] is exact passthrough (every
+    /// hook inlines to an early return); the other modes populate
+    /// [`SessionResult::obs`] without perturbing the simulation — event
+    /// order, RNG draws, and all measurements stay byte-identical.
+    pub obs: ObsMode,
+    /// Runaway budget, sim-time horizon and cancellation flag.
+    pub guard: SessionGuard,
 }
 
-/// [`run_session`] with an observability mode. `ObsMode::Off` is exact
-/// passthrough (every hook inlines to an early return); the other modes
-/// populate [`SessionResult::obs`] without perturbing the simulation —
-/// event order, RNG draws, and all measurements stay byte-identical.
-pub fn run_session_obs<T: BandwidthTrace>(
-    trace: T,
-    cfg: SessionConfig,
-    obs: ObsMode,
-) -> SessionResult {
-    let schedule = cfg
-        .chaos
-        .map(|spec| ChaosSchedule::generate(spec, cfg.duration));
-    run_session_chaos_obs(trace, cfg, schedule, obs)
-}
-
-/// [`run_session`] with an explicit chaos schedule, bypassing schedule
-/// generation. Recovery bounds for the chaos invariants still come from
-/// `cfg.chaos` (defaults apply when it is `None`). An empty or absent
-/// schedule is exact passthrough: zero extra RNG draws, capacity
-/// multiplied by exactly `1.0`.
-pub fn run_session_chaos<T: BandwidthTrace>(
-    trace: T,
-    cfg: SessionConfig,
-    schedule: Option<ChaosSchedule>,
-) -> SessionResult {
-    run_session_chaos_obs(trace, cfg, schedule, ObsMode::Off)
-}
-
-/// [`run_session_chaos`] with an observability mode — the shrinker uses
-/// this to render the violating timeline of a minimized schedule.
-pub fn run_session_chaos_obs<T: BandwidthTrace>(
-    trace: T,
-    cfg: SessionConfig,
-    schedule: Option<ChaosSchedule>,
-    obs_mode: ObsMode,
-) -> SessionResult {
-    let guard = SessionGuard::for_config(&cfg);
-    run_session_guarded(trace, cfg, schedule, obs_mode, guard)
-}
-
-/// [`run_session`] with an explicit corruption schedule, bypassing
-/// schedule generation (the corruption shrinker's entry point). The
-/// chaos schedule, if any, still generates from `cfg.chaos`. An empty
-/// or absent schedule is exact passthrough: zero extra RNG draws.
-pub fn run_session_corrupt<T: BandwidthTrace>(
-    trace: T,
-    cfg: SessionConfig,
-    corrupt: Option<CorruptSchedule>,
-) -> SessionResult {
-    run_session_corrupt_obs(trace, cfg, corrupt, ObsMode::Off)
-}
-
-/// [`run_session_corrupt`] with an observability mode — the shrinker
-/// uses this to render the violating timeline of a minimized schedule.
-pub fn run_session_corrupt_obs<T: BandwidthTrace>(
-    trace: T,
-    cfg: SessionConfig,
-    corrupt: Option<CorruptSchedule>,
-    obs_mode: ObsMode,
-) -> SessionResult {
-    let schedule = cfg
-        .chaos
-        .map(|spec| ChaosSchedule::generate(spec, cfg.duration));
-    let guard = SessionGuard::for_config(&cfg);
-    run_session_faults(trace, cfg, schedule, corrupt, obs_mode, guard)
-}
-
-/// The standard guarded entry point: an explicit chaos schedule, an
-/// observability mode, and a [`SessionGuard`]. The corruption schedule
-/// generates from `cfg.corrupt`; see [`run_session_faults`] to supply
-/// one explicitly.
-pub fn run_session_guarded<T: BandwidthTrace>(
-    trace: T,
-    cfg: SessionConfig,
-    schedule: Option<ChaosSchedule>,
-    obs_mode: ObsMode,
-    guard: SessionGuard,
-) -> SessionResult {
-    let corrupt = cfg
-        .corrupt
-        .map(|spec| CorruptSchedule::generate(spec, cfg.duration));
-    run_session_faults(trace, cfg, schedule, corrupt, obs_mode, guard)
-}
-
-/// The fully general entry point: explicit chaos AND corruption
-/// schedules, an observability mode, and a [`SessionGuard`]. Every
-/// other entry point delegates here with the standard guard for the
-/// config, so the runaway budget and horizon are always armed.
-pub fn run_session_faults<T: BandwidthTrace>(
-    trace: T,
-    cfg: SessionConfig,
-    schedule: Option<ChaosSchedule>,
-    corrupt: Option<CorruptSchedule>,
-    obs_mode: ObsMode,
-    guard: SessionGuard,
-) -> SessionResult {
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    // Solo sessions keep the plain allocating path: it is the historical
-    // behaviour and the oracle the pooled kernel is tested against.
-    let mut pool: BoxPool<EncodedFrame> = BoxPool::disabled();
-    let mut state = SessionState::new(trace, cfg, schedule, corrupt, obs_mode, guard);
-    state.start(&mut queue);
-    while let Some(scheduled) = queue.pop() {
-        if let Step::Stop = state.step(scheduled.at, scheduled.event, &mut queue, &mut pool) {
-            break;
+impl<T> SessionSpec<T> {
+    /// The standard run of `trace` under `cfg`: both fault schedules
+    /// generated from `cfg.chaos` and `cfg.corrupt`, the standard guard
+    /// for `cfg` ([`SessionGuard::for_config`]), observation off.
+    pub fn new(trace: T, cfg: SessionConfig) -> SessionSpec<T> {
+        SessionSpec {
+            trace,
+            chaos: cfg
+                .chaos
+                .map(|spec| ChaosSchedule::generate(spec, cfg.duration)),
+            corrupt: cfg
+                .corrupt
+                .map(|spec| CorruptSchedule::generate(spec, cfg.duration)),
+            obs: ObsMode::Off,
+            guard: SessionGuard::for_config(&cfg),
+            cfg,
         }
     }
-    // Drain without processing: whatever the loop left in the queue is
-    // counted as in-flight for the conservation invariant.
-    while let Some(leftover) = queue.pop() {
-        state.note_leftover(&leftover.event);
-    }
+}
+
+/// Runs one session to completion and returns its measurements: a
+/// population of one through an allocating [`KernelWorkspace`], the
+/// arena oracle [`run_many`] is tested against.
+pub fn run<T: BandwidthTrace>(spec: SessionSpec<T>) -> SessionResult {
+    let mut population = [SessionState::new(spec)];
+    drive(&mut population, &mut KernelWorkspace::allocating());
+    let [state] = population;
     state.finish()
 }
 
-/// Runs a batch of sessions interleaved over ONE shared event queue on
-/// the calling thread — the multi-session kernel. Each session's
-/// result is byte-identical to running it alone through
-/// [`run_session`]: sessions share no state, and the shared queue's
-/// FIFO tie-break preserves every per-session event order.
-pub fn run_sessions<T: BandwidthTrace>(sessions: Vec<(T, SessionConfig)>) -> Vec<SessionResult> {
-    run_sessions_obs(sessions, ObsMode::Off)
+/// Runs a population of sessions interleaved over ONE shared event
+/// queue on the calling thread, recycling event-payload boxes through
+/// `ws`'s arena. Results come back in spec order, each byte-identical
+/// to [`run`] of the same spec alone: sessions share no state, the
+/// shared queue's FIFO tie-break preserves every per-session event
+/// order, and the arena only changes *where* a payload box's memory
+/// comes from, never its contents.
+pub fn run_many<T: BandwidthTrace>(
+    specs: Vec<SessionSpec<T>>,
+    ws: &mut KernelWorkspace,
+) -> Vec<SessionResult> {
+    let mut population: Vec<_> = specs.into_iter().map(SessionState::new).collect();
+    drive(&mut population, ws);
+    population.into_iter().map(SessionState::finish).collect()
 }
 
-/// [`run_sessions`] with an observability mode applied to every session.
-///
-/// Runs through a throwaway allocating [`KernelWorkspace`]: identical
-/// results to [`run_sessions_pooled`], without payload recycling. This
-/// is the arena test oracle.
-pub fn run_sessions_obs<T: BandwidthTrace>(
-    sessions: Vec<(T, SessionConfig)>,
-    obs_mode: ObsMode,
-) -> Vec<SessionResult> {
-    let mut ws = KernelWorkspace::allocating();
-    run_sessions_pooled(sessions, obs_mode, &mut ws)
+/// The kernel loop: seeds every session's events into `ws`'s queue,
+/// then pops and dispatches until the queue is empty. Once a session
+/// stops, its remaining events only count as in-flight leftovers.
+fn drive<T: BandwidthTrace>(population: &mut [SessionState<T>], ws: &mut KernelWorkspace) {
+    let KernelWorkspace { queue, pool } = ws;
+    queue.reset();
+    for (session, state) in population.iter_mut().enumerate() {
+        state.start(&mut TaggedSink {
+            queue,
+            session: session as u32,
+        });
+    }
+    let mut stopped = vec![false; population.len()];
+    while let Some(scheduled) = queue.pop() {
+        let (session, event) = scheduled.event;
+        let state = &mut population[session as usize];
+        if stopped[session as usize] {
+            state.note_leftover(&event);
+            reclaim(event, pool);
+            continue;
+        }
+        let mut sink = TaggedSink { queue, session };
+        if let Step::Stop = state.step(scheduled.at, event, &mut sink, pool) {
+            stopped[session as usize] = true;
+        }
+    }
 }
 
 /// Reusable per-worker kernel scratch: the shared multi-session event
@@ -679,56 +649,6 @@ impl Default for KernelWorkspace {
     }
 }
 
-/// [`run_sessions_obs`] against a caller-owned [`KernelWorkspace`],
-/// recycling event-payload boxes through its arena. Results are
-/// byte-identical to [`run_sessions`] / solo [`run_session`] runs: the
-/// arena only changes *where* a payload box's memory comes from, never
-/// its contents or the event order.
-pub fn run_sessions_pooled<T: BandwidthTrace>(
-    sessions: Vec<(T, SessionConfig)>,
-    obs_mode: ObsMode,
-    ws: &mut KernelWorkspace,
-) -> Vec<SessionResult> {
-    let queue = &mut ws.queue;
-    let pool = &mut ws.pool;
-    queue.reset();
-    let mut states: Vec<(SessionState<T>, bool)> = Vec::with_capacity(sessions.len());
-    for (session, (trace, cfg)) in sessions.into_iter().enumerate() {
-        let schedule = cfg
-            .chaos
-            .map(|spec| ChaosSchedule::generate(spec, cfg.duration));
-        let corrupt = cfg
-            .corrupt
-            .map(|spec| CorruptSchedule::generate(spec, cfg.duration));
-        let guard = SessionGuard::for_config(&cfg);
-        let mut state = SessionState::new(trace, cfg, schedule, corrupt, obs_mode, guard);
-        state.start(&mut TaggedSink {
-            queue,
-            session: session as u32,
-        });
-        states.push((state, false));
-    }
-    while let Some(scheduled) = queue.pop() {
-        let (session, event) = scheduled.event;
-        let (state, stopped) = &mut states[session as usize];
-        if *stopped {
-            // A stopped session's leftovers count as in-flight, exactly
-            // like the single-session post-loop drain.
-            state.note_leftover(&event);
-            reclaim(event, pool);
-            continue;
-        }
-        let mut sink = TaggedSink { queue, session };
-        if let Step::Stop = state.step(scheduled.at, event, &mut sink, pool) {
-            *stopped = true;
-        }
-    }
-    states
-        .into_iter()
-        .map(|(state, _stopped)| state.finish())
-        .collect()
-}
-
 /// Returns an event's boxed payload (if any) to the worker's arena.
 fn reclaim(event: Event, pool: &mut BoxPool<EncodedFrame>) {
     if let Event::EncodeDone(frame) = event {
@@ -736,28 +656,16 @@ fn reclaim(event: Event, pool: &mut BoxPool<EncodedFrame>) {
     }
 }
 
-/// Where a stepped session schedules its future events. The
-/// single-session kernel hands the state machine its private queue; the
-/// multi-session kernel hands it a [`TaggedSink`] that stamps the
-/// session id onto every push.
-trait EventSink {
-    /// Schedules `event` at `at`.
-    fn push(&mut self, at: Time, event: Event);
-}
-
-impl EventSink for EventQueue<Event> {
-    fn push(&mut self, at: Time, event: Event) {
-        EventQueue::push(self, at, event);
-    }
-}
-
-/// A view of the shared multi-session queue scoped to one session.
+/// Where a stepped session schedules its future events: the shared
+/// population queue, scoped to one session by stamping its index onto
+/// every push.
 struct TaggedSink<'a> {
     queue: &'a mut EventQueue<(u32, Event)>,
     session: u32,
 }
 
-impl EventSink for TaggedSink<'_> {
+impl TaggedSink<'_> {
+    /// Schedules `event` at `at`.
     fn push(&mut self, at: Time, event: Event) {
         self.queue.push(at, (self.session, event));
     }
@@ -955,14 +863,15 @@ struct SessionState<T: BandwidthTrace> {
 impl<T: BandwidthTrace> SessionState<T> {
     /// Builds the initial state. Mirrors the historical setup section
     /// exactly, including its RNG draw order.
-    fn new(
-        trace: T,
-        cfg: SessionConfig,
-        schedule: Option<ChaosSchedule>,
-        corrupt: Option<CorruptSchedule>,
-        obs_mode: ObsMode,
-        guard: SessionGuard,
-    ) -> SessionState<T> {
+    fn new(spec: SessionSpec<T>) -> SessionState<T> {
+        let SessionSpec {
+            trace,
+            cfg,
+            chaos: schedule,
+            corrupt,
+            obs: obs_mode,
+            guard,
+        } = spec;
         let schedule = schedule.filter(|s| !s.is_empty());
         let corrupt = corrupt.filter(|s| !s.is_empty());
         let source = VideoSource::new(cfg.content.profile(), cfg.resolution, cfg.fps, cfg.seed);
@@ -1092,7 +1001,7 @@ impl<T: BandwidthTrace> SessionState<T> {
 
     /// Schedules the session's seed events (same order as the
     /// historical loop, so FIFO tie-breaks are preserved).
-    fn start(&mut self, sink: &mut impl EventSink) {
+    fn start(&mut self, sink: &mut TaggedSink) {
         sink.push(Time::ZERO, Event::Capture);
         sink.push(
             Time::ZERO + self.cfg.feedback_interval,
@@ -1143,7 +1052,7 @@ impl<T: BandwidthTrace> SessionState<T> {
         &mut self,
         now: Time,
         event: Event,
-        sink: &mut impl EventSink,
+        sink: &mut TaggedSink,
         pool: &mut BoxPool<EncodedFrame>,
     ) -> Step {
         self.popped += 1;
@@ -1253,12 +1162,7 @@ impl<T: BandwidthTrace> SessionState<T> {
         Step::Continue
     }
 
-    fn on_capture(
-        &mut self,
-        now: Time,
-        sink: &mut impl EventSink,
-        pool: &mut BoxPool<EncodedFrame>,
-    ) {
+    fn on_capture(&mut self, now: Time, sink: &mut TaggedSink, pool: &mut BoxPool<EncodedFrame>) {
         let frame = self.source.next_frame();
         debug_assert_eq!(frame.pts, now, "capture clock drift");
         self.obs
@@ -1323,7 +1227,7 @@ impl<T: BandwidthTrace> SessionState<T> {
         }
     }
 
-    fn on_encode_done(&mut self, now: Time, encoded: &EncodedFrame, sink: &mut impl EventSink) {
+    fn on_encode_done(&mut self, now: Time, encoded: &EncodedFrame, sink: &mut TaggedSink) {
         if let Some(sched) = self.schedule.as_ref() {
             self.packetizer.set_payload_mtu(sched.payload_mtu(now));
         }
@@ -1407,7 +1311,7 @@ impl<T: BandwidthTrace> SessionState<T> {
         }
     }
 
-    fn on_feedback_flush(&mut self, now: Time, sink: &mut impl EventSink) {
+    fn on_feedback_flush(&mut self, now: Time, sink: &mut TaggedSink) {
         let backlog = self.link.backlog_bytes(now);
         self.checker.check(
             Invariant::BoundedBacklog,
@@ -1558,7 +1462,7 @@ impl<T: BandwidthTrace> SessionState<T> {
         }
     }
 
-    fn on_nack_poll(&mut self, now: Time, sink: &mut impl EventSink) {
+    fn on_nack_poll(&mut self, now: Time, sink: &mut TaggedSink) {
         let abandoned_before = self.nack_gen.abandoned();
         let batch = self.nack_gen.poll(now);
         if self.nack_gen.abandoned() > abandoned_before {
@@ -1582,7 +1486,7 @@ impl<T: BandwidthTrace> SessionState<T> {
         }
     }
 
-    fn on_audio_tick(&mut self, now: Time, sink: &mut impl EventSink) {
+    fn on_audio_tick(&mut self, now: Time, sink: &mut TaggedSink) {
         // One Opus frame: bitrate x 20 ms of payload + headers.
         let payload = ((self.cfg.audio_bitrate_bps * AUDIO_TICK.as_secs_f64()) / 8.0).ceil() as u64;
         let audio = Packet {
@@ -1609,7 +1513,7 @@ impl<T: BandwidthTrace> SessionState<T> {
         }
     }
 
-    fn on_nack_arrive(&mut self, now: Time, batch: &NackBatch, sink: &mut impl EventSink) {
+    fn on_nack_arrive(&mut self, now: Time, batch: &NackBatch, sink: &mut TaggedSink) {
         // Refill the RTX bucket, capped at one burst.
         let elapsed = now.saturating_since(self.rtx_tokens_updated);
         self.rtx_tokens_updated = now;
@@ -1639,7 +1543,7 @@ impl<T: BandwidthTrace> SessionState<T> {
         }
     }
 
-    fn on_watchdog_tick(&mut self, now: Time, sink: &mut impl EventSink) {
+    fn on_watchdog_tick(&mut self, now: Time, sink: &mut TaggedSink) {
         if let Some(wd) = self.watchdog.as_mut() {
             // Capture ends at `capture_end`; the receiver goes
             // quiet once the pipe drains, so missing feedback in
@@ -1684,7 +1588,7 @@ impl<T: BandwidthTrace> SessionState<T> {
     /// Releases due packets from the pacer onto the link, recording
     /// them in the RTX history when retransmission is enabled, and
     /// keeps exactly one `PacerTick` outstanding for the next release.
-    fn release_pacer(&mut self, sink: &mut impl EventSink, now: Time) {
+    fn release_pacer(&mut self, sink: &mut TaggedSink, now: Time) {
         let mut scratch = mem::take(&mut self.release_scratch);
         self.pacer.release_into(now, &mut scratch);
         if self.cfg.enable_rtx {
@@ -1708,7 +1612,7 @@ impl<T: BandwidthTrace> SessionState<T> {
     /// through the per-packet chaos stage (which may drop it, jitter
     /// its arrival past FIFO order, or inject a duplicate) and
     /// recording the send for conservation.
-    fn send_forward(&mut self, sink: &mut impl EventSink, packet: Packet, now: Time) {
+    fn send_forward(&mut self, sink: &mut TaggedSink, packet: Packet, now: Time) {
         self.acct.sent += 1;
         self.obs.record(now, || ObsEvent::PacketSent {
             seq: packet.seq,
@@ -2011,7 +1915,7 @@ mod tests {
     #[test]
     fn steady_link_delivers_everything_promptly() {
         let cfg = short_cfg(Scheme::baseline());
-        let result = run_session(ConstantTrace::new(4.5e6), cfg);
+        let result = run(SessionSpec::new(ConstantTrace::new(4.5e6), cfg));
         let s = result.recorder.summarize_all();
         // 20 s at 33.333 ms per frame -> 601 captures (frame 600 lands
         // at 19.9998 s, inside the window).
@@ -2031,8 +1935,8 @@ mod tests {
     fn deterministic_across_runs() {
         let cfg = short_cfg(Scheme::adaptive());
         let trace = || StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10));
-        let a = run_session(trace(), cfg);
-        let b = run_session(trace(), cfg);
+        let a = run(SessionSpec::new(trace(), cfg));
+        let b = run(SessionSpec::new(trace(), cfg));
         assert_eq!(a.recorder.records(), b.recorder.records());
         assert_eq!(a.frames_skipped, b.frames_skipped);
     }
@@ -2040,7 +1944,10 @@ mod tests {
     #[test]
     fn drop_spikes_baseline_latency() {
         let cfg = short_cfg(Scheme::baseline());
-        let result = run_session(StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10)), cfg);
+        let result = run(SessionSpec::new(
+            StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10)),
+            cfg,
+        ));
         // Skip the first seconds: GCC's startup probe transient.
         let before = result
             .recorder
@@ -2059,8 +1966,8 @@ mod tests {
     #[test]
     fn adaptive_cuts_post_drop_latency() {
         let mk = || StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10));
-        let base = run_session(mk(), short_cfg(Scheme::baseline()));
-        let adap = run_session(mk(), short_cfg(Scheme::adaptive()));
+        let base = run(SessionSpec::new(mk(), short_cfg(Scheme::baseline())));
+        let adap = run(SessionSpec::new(mk(), short_cfg(Scheme::adaptive())));
         let w = (Time::from_secs(10), Time::from_secs(18));
         let b = base.recorder.summarize(w.0, w.1);
         let a = adap.recorder.summarize(w.0, w.1);
@@ -2076,7 +1983,10 @@ mod tests {
     #[test]
     fn session_counters_consistent() {
         let cfg = short_cfg(Scheme::adaptive());
-        let result = run_session(StepTrace::sudden_drop(4e6, 0.5e6, Time::from_secs(10)), cfg);
+        let result = run(SessionSpec::new(
+            StepTrace::sudden_drop(4e6, 0.5e6, Time::from_secs(10)),
+            cfg,
+        ));
         assert_eq!(
             result.recorder.records().len() as u64,
             result.frames_captured
@@ -2113,8 +2023,10 @@ mod tests {
         let mut cfg = SessionConfig::default_with(Scheme::baseline());
         cfg.duration = Dur::secs(4);
         let mut ws = KernelWorkspace::new();
-        let first =
-            run_sessions_pooled(vec![(ConstantTrace::new(3e6), cfg)], ObsMode::Off, &mut ws);
+        let first = run_many(
+            vec![SessionSpec::new(ConstantTrace::new(3e6), cfg)],
+            &mut ws,
+        );
         let after_first = ws.arena_stats();
         // Every EncodeDone box must come back: a leak here would mean a
         // payload escaped the recycle sites in `step`.
@@ -2125,8 +2037,10 @@ mod tests {
         assert_eq!(after_first.high_water, 1);
         // Same cell again through the same workspace: the free list is
         // warm, so every payload allocation is now served from it.
-        let second =
-            run_sessions_pooled(vec![(ConstantTrace::new(3e6), cfg)], ObsMode::Off, &mut ws);
+        let second = run_many(
+            vec![SessionSpec::new(ConstantTrace::new(3e6), cfg)],
+            &mut ws,
+        );
         let after_second = ws.arena_stats();
         assert_eq!(after_second.outstanding, 0);
         assert_eq!(after_second.high_water, 1);
@@ -2152,7 +2066,7 @@ mod tests {
             after_kbps in 200u64..2_000,
             n in 1usize..4,
         ) {
-            let sessions = || -> Vec<(StepTrace, SessionConfig)> {
+            let sessions = || -> Vec<SessionSpec<StepTrace>> {
                 (0..n)
                     .map(|i| {
                         let scheme = if i % 2 == 0 {
@@ -2168,13 +2082,13 @@ mod tests {
                             after_kbps as f64 * 1e3,
                             Time::from_secs(2),
                         );
-                        (trace, cfg)
+                        SessionSpec::new(trace, cfg)
                     })
                     .collect()
             };
             let mut ws = KernelWorkspace::new();
-            let pooled = run_sessions_pooled(sessions(), ObsMode::Off, &mut ws);
-            let allocating = run_sessions_obs(sessions(), ObsMode::Off);
+            let pooled = run_many(sessions(), &mut ws);
+            let allocating = run_many(sessions(), &mut KernelWorkspace::allocating());
             proptest::prop_assert_eq!(pooled.len(), allocating.len());
             for (a, b) in pooled.iter().zip(&allocating) {
                 assert_results_identical(a, b);
@@ -2187,7 +2101,10 @@ mod tests {
     fn series_recorded_when_enabled() {
         let mut cfg = short_cfg(Scheme::adaptive());
         cfg.record_series = true;
-        let result = run_session(StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10)), cfg);
+        let result = run(SessionSpec::new(
+            StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10)),
+            cfg,
+        ));
         for name in [
             "target_bps",
             "gcc_target_bps",
@@ -2212,7 +2129,7 @@ mod tests {
     fn audio_flow_records_latencies() {
         let mut cfg = short_cfg(Scheme::adaptive());
         cfg.enable_audio = true;
-        let result = run_session(ConstantTrace::new(4.5e6), cfg);
+        let result = run(SessionSpec::new(ConstantTrace::new(4.5e6), cfg));
         // 20 s at one packet per 20 ms; a handful may drop-tail during
         // the GCC startup transient.
         assert!(
@@ -2238,7 +2155,7 @@ mod tests {
     #[test]
     fn audio_disabled_records_nothing() {
         let cfg = short_cfg(Scheme::baseline());
-        let result = run_session(ConstantTrace::new(4e6), cfg);
+        let result = run(SessionSpec::new(ConstantTrace::new(4e6), cfg));
         assert!(result.audio_latencies.is_empty());
     }
 
@@ -2252,7 +2169,7 @@ mod tests {
         let run_one = |scheme| {
             let mut cfg = short_cfg(scheme);
             cfg.enable_audio = true;
-            run_session(mk(), cfg)
+            run(SessionSpec::new(mk(), cfg))
         };
         let base = run_one(Scheme::baseline());
         let adpt = run_one(Scheme::adaptive());
@@ -2286,8 +2203,8 @@ mod tests {
         with_fec.enable_rtx = false;
         let mut without = with_fec;
         without.enable_fec = false;
-        let f = run_session(ConstantTrace::new(4e6), with_fec);
-        let n = run_session(ConstantTrace::new(4e6), without);
+        let f = run(SessionSpec::new(ConstantTrace::new(4e6), with_fec));
+        let n = run(SessionSpec::new(ConstantTrace::new(4e6), without));
         assert!(f.fec_parity_sent > 0, "no parity sent");
         assert!(f.fec_recovered > 0, "nothing recovered at 3% loss");
         let fs = f.recorder.summarize_all();
@@ -2303,7 +2220,7 @@ mod tests {
     #[test]
     fn fec_disabled_sends_no_parity() {
         let cfg = short_cfg(Scheme::baseline());
-        let result = run_session(ConstantTrace::new(4e6), cfg);
+        let result = run(SessionSpec::new(ConstantTrace::new(4e6), cfg));
         assert_eq!(result.fec_parity_sent, 0);
         assert_eq!(result.fec_recovered, 0);
     }
@@ -2311,7 +2228,7 @@ mod tests {
     #[test]
     fn series_absent_when_disabled() {
         let cfg = short_cfg(Scheme::baseline());
-        let result = run_session(ConstantTrace::new(4e6), cfg);
+        let result = run(SessionSpec::new(ConstantTrace::new(4e6), cfg));
         assert!(result.series.names().is_empty());
     }
 
@@ -2321,7 +2238,10 @@ mod tests {
             let mut cfg = short_cfg(scheme);
             cfg.enable_audio = true;
             cfg.record_series = true;
-            let result = run_session(StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10)), cfg);
+            let result = run(SessionSpec::new(
+                StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10)),
+                cfg,
+            ));
             assert!(
                 result.violations.is_empty(),
                 "{}: {:?}",
@@ -2351,7 +2271,7 @@ mod tests {
             cfg.feedback_interval,
             cfg.reverse_delay * 2,
         ));
-        let result = run_session(ConstantTrace::new(4e6), cfg);
+        let result = run(SessionSpec::new(ConstantTrace::new(4e6), cfg));
         assert!(result.violations.is_empty(), "{:?}", result.violations);
         assert_eq!(result.watchdog_episodes, 2, "one episode per blackout");
         assert!(
@@ -2378,8 +2298,11 @@ mod tests {
         // indistinguishable from no chaos at all.
         let cfg = short_cfg(Scheme::adaptive());
         let mk = || StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10));
-        let plain = run_session(mk(), cfg);
-        let empty = run_session_chaos(mk(), cfg, Some(ChaosSchedule::empty()));
+        let plain = run(SessionSpec::new(mk(), cfg));
+        let empty = run(SessionSpec {
+            chaos: Some(ChaosSchedule::empty()),
+            ..SessionSpec::new(mk(), cfg)
+        });
         assert_eq!(plain.recorder.records(), empty.recorder.records());
         assert_eq!(plain.events_processed, empty.events_processed);
         assert_eq!(plain.packets_delivered, empty.packets_delivered);
@@ -2393,13 +2316,13 @@ mod tests {
                 cfg.duration = Dur::secs(30);
                 cfg.seed = seed;
                 cfg.chaos = Some(ChaosSpec::new(seed, intensity));
-                let a = run_session(ConstantTrace::new(4e6), cfg);
+                let a = run(SessionSpec::new(ConstantTrace::new(4e6), cfg));
                 assert!(
                     a.violations.is_empty(),
                     "seed {seed} intensity {intensity}: {:?}",
                     a.violations
                 );
-                let b = run_session(ConstantTrace::new(4e6), cfg);
+                let b = run(SessionSpec::new(ConstantTrace::new(4e6), cfg));
                 assert_eq!(a.recorder.records(), b.recorder.records());
                 assert_eq!(a.chaos_lost, b.chaos_lost);
                 assert_eq!(a.chaos_duplicates, b.chaos_duplicates);
@@ -2413,8 +2336,11 @@ mod tests {
         // corruption schedule must be indistinguishable from none.
         let cfg = short_cfg(Scheme::adaptive());
         let mk = || StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10));
-        let plain = run_session(mk(), cfg);
-        let empty = run_session_corrupt(mk(), cfg, Some(ravel_net::CorruptSchedule::empty()));
+        let plain = run(SessionSpec::new(mk(), cfg));
+        let empty = run(SessionSpec {
+            corrupt: Some(ravel_net::CorruptSchedule::empty()),
+            ..SessionSpec::new(mk(), cfg)
+        });
         assert_eq!(plain.recorder.records(), empty.recorder.records());
         assert_eq!(plain.events_processed, empty.events_processed);
         assert_eq!(plain.packets_delivered, empty.packets_delivered);
@@ -2447,7 +2373,10 @@ mod tests {
             kind: CorruptKind::Truncate,
             rate: 1.0,
         }]);
-        let result = run_session_corrupt(ConstantTrace::new(4e6), cfg, Some(schedule.clone()));
+        let result = run(SessionSpec {
+            corrupt: Some(schedule.clone()),
+            ..SessionSpec::new(ConstantTrace::new(4e6), cfg)
+        });
         assert!(result.violations.is_empty(), "{:?}", result.violations);
         assert_eq!(result.reverse_lost, 0, "reverse path must be clean");
         assert!(result.feedback_corrupted > 0);
@@ -2488,12 +2417,11 @@ mod tests {
             "no recovery after corruption: {recovered:.0}"
         );
         // The obs layer sees the same rejections the validator counted.
-        let observed = run_session_corrupt_obs(
-            ConstantTrace::new(4e6),
-            cfg,
-            Some(schedule),
-            ObsMode::Counters,
-        );
+        let observed = run(SessionSpec {
+            corrupt: Some(schedule),
+            obs: ObsMode::Counters,
+            ..SessionSpec::new(ConstantTrace::new(4e6), cfg)
+        });
         assert_eq!(
             observed.obs.counters.feedback_rejected,
             observed.rejected_reports
@@ -2515,7 +2443,7 @@ mod tests {
                     cfg.feedback_interval,
                     cfg.reverse_delay * 2,
                 ));
-                let a = run_session(ConstantTrace::new(4e6), cfg);
+                let a = run(SessionSpec::new(ConstantTrace::new(4e6), cfg));
                 assert!(
                     a.violations.is_empty(),
                     "seed {seed} intensity {intensity}: {:?}",
@@ -2523,7 +2451,7 @@ mod tests {
                 );
                 assert!(a.feedback_corrupted > 0, "schedule never fired");
                 total_rejected += a.rejected_reports;
-                let b = run_session(ConstantTrace::new(4e6), cfg);
+                let b = run(SessionSpec::new(ConstantTrace::new(4e6), cfg));
                 assert_eq!(a.recorder.records(), b.recorder.records());
                 assert_eq!(a.rejected_reports, b.rejected_reports);
                 assert_eq!(a.rejected_by_reason, b.rejected_by_reason);
@@ -2543,8 +2471,11 @@ mod tests {
         let mut cfg = short_cfg(Scheme::adaptive());
         cfg.chaos = Some(ChaosSpec::new(3, 0.5));
         let mk = || StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10));
-        let off = run_session(mk(), cfg);
-        let full = run_session_obs(mk(), cfg, ObsMode::Full);
+        let off = run(SessionSpec::new(mk(), cfg));
+        let full = run(SessionSpec {
+            obs: ObsMode::Full,
+            ..SessionSpec::new(mk(), cfg)
+        });
         assert_eq!(off.recorder.records(), full.recorder.records());
         assert_eq!(off.events_processed, full.events_processed);
         assert_eq!(off.packets_delivered, full.packets_delivered);
@@ -2566,11 +2497,17 @@ mod tests {
         assert_eq!(off.obs.recorded(), 0);
         assert_eq!(off.obs.counters.total(), 0);
         // Counters mode tallies identically to full capture.
-        let counters = run_session_obs(mk(), cfg, ObsMode::Counters);
+        let counters = run(SessionSpec {
+            obs: ObsMode::Counters,
+            ..SessionSpec::new(mk(), cfg)
+        });
         assert_eq!(counters.obs.counters, full.obs.counters);
         assert!(counters.obs.events().is_empty());
         // The timeline digest is deterministic across reruns.
-        let full2 = run_session_obs(mk(), cfg, ObsMode::Full);
+        let full2 = run(SessionSpec {
+            obs: ObsMode::Full,
+            ..SessionSpec::new(mk(), cfg)
+        });
         assert_eq!(full.obs.digest("cell"), full2.obs.digest("cell"));
     }
 
@@ -2581,7 +2518,10 @@ mod tests {
         // Far below what a healthy 20 s session needs: the guard must
         // cut the session off and flag it, not hang or panic.
         guard.max_events = 500;
-        let result = run_session_guarded(ConstantTrace::new(4e6), cfg, None, ObsMode::Off, guard);
+        let result = run(SessionSpec {
+            guard,
+            ..SessionSpec::new(ConstantTrace::new(4e6), cfg)
+        });
         assert_eq!(result.violations.len(), 1, "{:?}", result.violations);
         assert_eq!(
             result.violations[0].invariant,
@@ -2596,7 +2536,10 @@ mod tests {
         let cfg = short_cfg(Scheme::baseline());
         let mut guard = SessionGuard::for_config(&cfg);
         guard.horizon = Time::from_secs(5);
-        let result = run_session_guarded(ConstantTrace::new(4e6), cfg, None, ObsMode::Off, guard);
+        let result = run(SessionSpec {
+            guard,
+            ..SessionSpec::new(ConstantTrace::new(4e6), cfg)
+        });
         assert!(
             result
                 .violations
@@ -2616,8 +2559,8 @@ mod tests {
         cfg.inject = InjectedFault::Runaway {
             at: Time::from_secs(2),
         };
-        let a = run_session(ConstantTrace::new(4e6), cfg);
-        let b = run_session(ConstantTrace::new(4e6), cfg);
+        let a = run(SessionSpec::new(ConstantTrace::new(4e6), cfg));
+        let b = run(SessionSpec::new(ConstantTrace::new(4e6), cfg));
         assert!(
             a.violations
                 .iter()
@@ -2637,7 +2580,7 @@ mod tests {
             at: Time::from_secs(2),
         };
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_session(ConstantTrace::new(4e6), cfg)
+            run(SessionSpec::new(ConstantTrace::new(4e6), cfg))
         }));
         let payload = caught.expect_err("injected panic did not fire");
         let msg = payload
@@ -2651,7 +2594,10 @@ mod tests {
         let cfg = short_cfg(Scheme::baseline());
         let flag = Arc::new(AtomicBool::new(true));
         let guard = SessionGuard::for_config(&cfg).with_cancel(flag);
-        let result = run_session_guarded(ConstantTrace::new(4e6), cfg, None, ObsMode::Off, guard);
+        let result = run(SessionSpec {
+            guard,
+            ..SessionSpec::new(ConstantTrace::new(4e6), cfg)
+        });
         assert!(result.cancelled);
         assert!(result.violations.is_empty(), "{:?}", result.violations);
         assert!(result.events_processed <= CANCEL_POLL_EVERY_EVENTS);
@@ -2663,7 +2609,7 @@ mod tests {
         cfg.enable_audio = true;
         cfg.chaos = Some(ChaosSpec::new(3, 1.0));
         cfg.duration = Dur::secs(30);
-        let result = run_session(ConstantTrace::new(4e6), cfg);
+        let result = run(SessionSpec::new(ConstantTrace::new(4e6), cfg));
         assert!(result.violations.is_empty(), "{:?}", result.violations);
         assert!(!result.cancelled);
         let budget = SessionGuard::for_config(&cfg).max_events;
@@ -2684,7 +2630,7 @@ mod tests {
         let mut spec = ChaosSpec::new(5, 0.5);
         spec.recovery_fraction = 3.0;
         cfg.chaos = Some(spec);
-        let result = run_session(ConstantTrace::new(4e6), cfg);
+        let result = run(SessionSpec::new(ConstantTrace::new(4e6), cfg));
         assert!(
             result
                 .violations
@@ -2778,7 +2724,7 @@ mod tests {
                 adaptive: None,
             })
         };
-        let result = run_session(ConstantTrace::new(1.5e6), cfg);
+        let result = run(SessionSpec::new(ConstantTrace::new(1.5e6), cfg));
         assert!(result.violations.is_empty(), "{:?}", result.violations);
         let per_sim_sec = result.events_processed / 20;
         assert!(
@@ -2807,11 +2753,21 @@ mod tests {
         };
         let mk_trace = || StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10));
         let singles: Vec<SessionResult> = (1..=3)
-            .map(|seed| run_session_obs(mk_trace(), mk_cfg(seed), ObsMode::Counters))
+            .map(|seed| {
+                run(SessionSpec {
+                    obs: ObsMode::Counters,
+                    ..SessionSpec::new(mk_trace(), mk_cfg(seed))
+                })
+            })
             .collect();
-        let batch = run_sessions_obs(
-            (1..=3).map(|seed| (mk_trace(), mk_cfg(seed))).collect(),
-            ObsMode::Counters,
+        let batch = run_many(
+            (1..=3)
+                .map(|seed| SessionSpec {
+                    obs: ObsMode::Counters,
+                    ..SessionSpec::new(mk_trace(), mk_cfg(seed))
+                })
+                .collect(),
+            &mut KernelWorkspace::allocating(),
         );
         assert_eq!(batch.len(), 3);
         for (i, (a, b)) in singles.iter().zip(batch.iter()).enumerate() {
@@ -2821,6 +2777,63 @@ mod tests {
             assert_eq!(a.frames_skipped, b.frames_skipped, "session {i}");
             assert_eq!(a.violations, b.violations, "session {i}");
             assert_eq!(a.obs.counters, b.obs.counters, "session {i}");
+        }
+    }
+
+    #[test]
+    fn mixed_population_matches_each_spec_run_alone() {
+        // One population mixing an explicit chaos schedule, an explicit
+        // corruption schedule, full observation and an already-set
+        // cancel flag: every result equals `run` of the same spec alone,
+        // and the cancelled spec truncates only itself.
+        let cfg = |seed: u64| SessionConfig {
+            seed,
+            ..short_cfg(Scheme::adaptive())
+        };
+        let trace = || StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10));
+        let chaos = ChaosSchedule::generate(ChaosSpec::new(4, 0.5), Dur::secs(20));
+        let corrupt = CorruptSchedule::generate(CorruptSpec::new(6, 0.5), Dur::secs(20));
+        let cancelled =
+            SessionGuard::for_config(&cfg(4)).with_cancel(Arc::new(AtomicBool::new(true)));
+        let specs = vec![
+            SessionSpec {
+                chaos: Some(chaos),
+                ..SessionSpec::new(trace(), cfg(1))
+            },
+            SessionSpec {
+                corrupt: Some(corrupt),
+                ..SessionSpec::new(trace(), cfg(2))
+            },
+            SessionSpec {
+                obs: ObsMode::Full,
+                ..SessionSpec::new(trace(), cfg(3))
+            },
+            SessionSpec {
+                guard: cancelled,
+                ..SessionSpec::new(trace(), cfg(4))
+            },
+        ];
+        let alone: Vec<SessionResult> = specs.iter().cloned().map(run).collect();
+        let together = run_many(specs, &mut KernelWorkspace::new());
+        assert_eq!(together.len(), 4);
+        for (i, (a, b)) in alone.iter().zip(&together).enumerate() {
+            assert_results_identical(a, b);
+            assert_eq!(a.chaos_lost, b.chaos_lost, "session {i}");
+            assert_eq!(a.feedback_corrupted, b.feedback_corrupted, "session {i}");
+            assert_eq!(a.rejected_reports, b.rejected_reports, "session {i}");
+            assert_eq!(a.obs.counters, b.obs.counters, "session {i}");
+            assert_eq!(a.obs.digest("s"), b.obs.digest("s"), "session {i}");
+        }
+        // Each override took effect.
+        let plain = run(SessionSpec::new(trace(), cfg(1)));
+        assert_ne!(plain.recorder.records(), together[0].recorder.records());
+        assert!(together[1].feedback_corrupted > 0);
+        assert!(!together[2].obs.events().is_empty());
+        assert!(together[3].cancelled);
+        assert!(together[3].events_processed <= CANCEL_POLL_EVERY_EVENTS);
+        for result in &together[..3] {
+            assert!(!result.cancelled);
+            assert!(result.events_processed > CANCEL_POLL_EVERY_EVENTS);
         }
     }
 }

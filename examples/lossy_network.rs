@@ -9,7 +9,7 @@
 //! ```
 
 use ravel::metrics::{Cdf, Table};
-use ravel::pipeline::{run_session, Scheme, SessionConfig};
+use ravel::pipeline::{run, Scheme, SessionConfig, SessionSpec};
 use ravel::sim::{Dur, Time};
 use ravel::trace::StepTrace;
 
@@ -43,7 +43,10 @@ fn main() {
         cfg.link.random_loss = loss;
         cfg.enable_rtx = rtx;
         cfg.enable_fec = fec;
-        let result = run_session(StepTrace::sudden_drop(4e6, 1e6, drop_at), cfg);
+        let result = run(SessionSpec::new(
+            StepTrace::sudden_drop(4e6, 1e6, drop_at),
+            cfg,
+        ));
         let s = result.recorder.summarize_all();
         table.row_owned(vec![
             name.to_string(),

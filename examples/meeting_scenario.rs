@@ -5,7 +5,7 @@
 //! I-frame burst) lands while the link is congested: the encoder's
 //! worst moment. Uses the low-level pipeline pieces directly to drive a
 //! [`ScriptedSource`], showing how the library composes outside
-//! `run_session`.
+//! `ravel::pipeline::run`.
 //!
 //! ```text
 //! cargo run --release --example meeting_scenario

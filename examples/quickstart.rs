@@ -6,7 +6,7 @@
 //! ```
 
 use ravel::metrics::Table;
-use ravel::pipeline::{run_session, Scheme, SessionConfig};
+use ravel::pipeline::{run, Scheme, SessionConfig, SessionSpec};
 use ravel::sim::{Dur, Time};
 use ravel::trace::StepTrace;
 
@@ -29,7 +29,7 @@ fn main() {
     for scheme in [Scheme::baseline(), Scheme::adaptive()] {
         let mut cfg = SessionConfig::default_with(scheme);
         cfg.duration = Dur::secs(30);
-        let result = run_session(mk_trace(), cfg);
+        let result = run(SessionSpec::new(mk_trace(), cfg));
         // Measure the window around the drop, where the schemes differ.
         let s = result.recorder.summarize(drop_at, drop_at + Dur::secs(8));
         table.row_owned(vec![

@@ -12,7 +12,7 @@
 //! ```
 
 use ravel::metrics::Table;
-use ravel::pipeline::{run_session, Scheme, SessionConfig};
+use ravel::pipeline::{run, Scheme, SessionConfig, SessionSpec};
 use ravel::sim::{Dur, Time};
 use ravel::trace::StepTrace;
 use ravel::video::ContentClass;
@@ -36,7 +36,7 @@ fn main() {
             let mut cfg = SessionConfig::default_with(scheme);
             cfg.content = content;
             cfg.duration = Dur::secs(30);
-            let result = run_session(mk_trace(), cfg);
+            let result = run(SessionSpec::new(mk_trace(), cfg));
             result.recorder.summarize(drop_at, recover_at)
         };
         let base = run(Scheme::baseline());

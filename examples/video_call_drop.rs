@@ -9,7 +9,7 @@
 //! cargo run --release --example video_call_drop > drop_series.csv
 //! ```
 
-use ravel::pipeline::{run_session, Scheme, SessionConfig};
+use ravel::pipeline::{run, Scheme, SessionConfig, SessionSpec};
 use ravel::sim::{Dur, Time};
 use ravel::trace::StepTrace;
 use ravel::video::ContentClass;
@@ -22,7 +22,10 @@ fn main() {
         cfg.content = ContentClass::TalkingHead;
         cfg.duration = Dur::secs(25);
         cfg.record_series = true;
-        let result = run_session(StepTrace::sudden_drop(4e6, 1e6, drop_at), cfg);
+        let result = run(SessionSpec::new(
+            StepTrace::sudden_drop(4e6, 1e6, drop_at),
+            cfg,
+        ));
 
         println!("# scheme={}", scheme.name());
         println!("time_s,capacity_mbps,target_mbps,send_mbps,queue_ms,latency_ms");

@@ -16,7 +16,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use ravel::pipeline::{run_session, Scheme, SessionConfig};
+//! use ravel::pipeline::{run, Scheme, SessionConfig, SessionSpec};
 //! use ravel::sim::{Dur, Time};
 //! use ravel::trace::StepTrace;
 //!
@@ -25,7 +25,7 @@
 //!
 //! let mut cfg = SessionConfig::default_with(Scheme::adaptive());
 //! cfg.duration = Dur::secs(15);
-//! let result = run_session(trace, cfg);
+//! let result = run(SessionSpec::new(trace, cfg));
 //!
 //! let summary = result.recorder.summarize_all();
 //! assert!(summary.frames > 0);

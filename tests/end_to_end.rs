@@ -2,7 +2,7 @@
 //! paper's headline behaviours.
 
 use ravel::core::AdaptiveConfig;
-use ravel::pipeline::{run_session, Scheme, SessionConfig};
+use ravel::pipeline::{run, Scheme, SessionConfig, SessionSpec};
 use ravel::sim::{Dur, Time};
 use ravel::trace::{BandwidthTrace, CellularProfile, ConstantTrace, StepTrace, StochasticTrace};
 use ravel::video::ContentClass;
@@ -16,10 +16,10 @@ fn drop_cfg(scheme: Scheme) -> SessionConfig {
 }
 
 fn run_drop(scheme: Scheme, after: f64) -> ravel::pipeline::SessionResult {
-    run_session(
+    run(SessionSpec::new(
         StepTrace::sudden_drop(4e6, after, DROP_AT),
         drop_cfg(scheme),
-    )
+    ))
 }
 
 #[test]
@@ -73,7 +73,7 @@ fn adaptive_detects_exactly_one_drop_on_single_step() {
 fn no_adaptation_on_a_stable_link() {
     let mut cfg = drop_cfg(Scheme::adaptive());
     cfg.duration = Dur::secs(30);
-    let result = run_session(ConstantTrace::new(4.5e6), cfg);
+    let result = run(SessionSpec::new(ConstantTrace::new(4.5e6), cfg));
     assert_eq!(result.drops_handled, 0, "false positive on stable link");
     assert_eq!(result.frames_skipped, 0);
     let s = result.recorder.summarize_all();
@@ -95,8 +95,8 @@ fn adaptive_never_worse_on_upward_step() {
     bcfg.start_rate_bps = 1.5e6;
     let mut acfg = drop_cfg(Scheme::adaptive());
     acfg.start_rate_bps = 1.5e6;
-    let b = run_session(trace(), bcfg);
-    let a = run_session(trace(), acfg);
+    let b = run(SessionSpec::new(trace(), bcfg));
+    let a = run(SessionSpec::new(trace(), acfg));
     let bs = b.recorder.summarize_all();
     let as_ = a.recorder.summarize_all();
     assert_eq!(a.drops_handled, 0, "misfired on a capacity increase");
@@ -109,7 +109,7 @@ fn deep_drop_with_recovery_round_trip() {
         || StepTrace::drop_and_recover(4e6, 0.5e6, Time::from_secs(10), Time::from_secs(18));
     let mut cfg = drop_cfg(Scheme::adaptive());
     cfg.duration = Dur::secs(35);
-    let result = run_session(trace(), cfg);
+    let result = run(SessionSpec::new(trace(), cfg));
     // Late-session latency must return to the pre-drop regime.
     let tail = result
         .recorder
@@ -128,8 +128,14 @@ fn all_content_classes_benefit() {
         bcfg.content = content;
         let mut acfg = drop_cfg(Scheme::adaptive());
         acfg.content = content;
-        let b = run_session(StepTrace::sudden_drop(4e6, 1e6, DROP_AT), bcfg);
-        let a = run_session(StepTrace::sudden_drop(4e6, 1e6, DROP_AT), acfg);
+        let b = run(SessionSpec::new(
+            StepTrace::sudden_drop(4e6, 1e6, DROP_AT),
+            bcfg,
+        ));
+        let a = run(SessionSpec::new(
+            StepTrace::sudden_drop(4e6, 1e6, DROP_AT),
+            acfg,
+        ));
         let bw = b.recorder.summarize(DROP_AT, DROP_AT + Dur::secs(8));
         let aw = a.recorder.summarize(DROP_AT, DROP_AT + Dur::secs(8));
         assert!(
@@ -180,11 +186,11 @@ fn stochastic_traces_aggregate_win() {
         bcfg.seed = seed;
         let mut acfg = drop_cfg(Scheme::adaptive());
         acfg.seed = seed;
-        base_sum += run_session(mk(), bcfg)
+        base_sum += run(SessionSpec::new(mk(), bcfg))
             .recorder
             .summarize_all()
             .mean_latency_ms;
-        adpt_sum += run_session(mk(), acfg)
+        adpt_sum += run(SessionSpec::new(mk(), acfg))
             .recorder
             .summarize_all()
             .mean_latency_ms;
@@ -219,7 +225,10 @@ fn seeds_change_results_but_not_conclusions() {
     for seed in [1u64, 2, 3] {
         let mut cfg = drop_cfg(Scheme::adaptive());
         cfg.seed = seed;
-        let r = run_session(StepTrace::sudden_drop(4e6, 1e6, DROP_AT), cfg);
+        let r = run(SessionSpec::new(
+            StepTrace::sudden_drop(4e6, 1e6, DROP_AT),
+            cfg,
+        ));
         means.push(r.recorder.summarize_all().mean_latency_ms);
     }
     // Different seeds -> different numbers...
@@ -237,7 +246,7 @@ fn trace_combinators_compose_with_sessions() {
     let trace = StochasticTrace::generate(&profile, Dur::secs(30), 3)
         .scaled(0.5)
         .clamped(0.3e6, 6e6);
-    let result = run_session(trace, drop_cfg(Scheme::adaptive()));
+    let result = run(SessionSpec::new(trace, drop_cfg(Scheme::adaptive())));
     assert!(result.frames_captured > 0);
     let s = result.recorder.summarize_all();
     assert!(s.mean_ssim > 0.5);

@@ -3,7 +3,7 @@
 
 use ravel::core::WatchdogConfig;
 use ravel::net::{ChaosSchedule, FaultKind, FaultSegment, GilbertElliott, ReversePathConfig};
-use ravel::pipeline::{run_session, run_session_chaos, Scheme, SessionConfig};
+use ravel::pipeline::{run, Scheme, SessionConfig, SessionSpec};
 use ravel::sim::{Dur, Time};
 use ravel::trace::{ConstantTrace, StepTrace};
 use ravel::video::Resolution;
@@ -50,7 +50,7 @@ fn near_blackout_and_recovery() {
         ])
     };
     for scheme in [Scheme::baseline(), Scheme::adaptive()] {
-        let result = run_session(trace(), cfg(scheme));
+        let result = run(SessionSpec::new(trace(), cfg(scheme)));
         assert_sane(&result);
         // The blackout must be visible as freezes or huge latencies.
         let during = result
@@ -78,7 +78,10 @@ fn near_blackout_and_recovery() {
 fn total_blackout_does_not_hang() {
     // A fully dead link: the serializer's safety ceiling bounds every
     // packet, so the session must still terminate.
-    let result = run_session(ConstantTrace::new(0.0), cfg(Scheme::adaptive()));
+    let result = run(SessionSpec::new(
+        ConstantTrace::new(0.0),
+        cfg(Scheme::adaptive()),
+    ));
     assert_sane(&result);
     let s = result.recorder.summarize_all();
     assert!(
@@ -92,7 +95,7 @@ fn total_blackout_does_not_hang() {
 fn heavy_loss_with_rtx_survives() {
     let mut c = cfg(Scheme::adaptive());
     c.link.random_loss = 0.2;
-    let result = run_session(ConstantTrace::new(4e6), c);
+    let result = run(SessionSpec::new(ConstantTrace::new(4e6), c));
     assert_sane(&result);
     assert!(result.retransmissions > 0, "RTX never engaged at 20% loss");
     let s = result.recorder.summarize_all();
@@ -104,7 +107,7 @@ fn heavy_loss_without_rtx_survives() {
     let mut c = cfg(Scheme::baseline());
     c.link.random_loss = 0.2;
     c.enable_rtx = false;
-    let result = run_session(ConstantTrace::new(4e6), c);
+    let result = run(SessionSpec::new(ConstantTrace::new(4e6), c));
     assert_sane(&result);
     assert_eq!(result.retransmissions, 0);
     // PLI + IDR is the only recovery; freezes will be plentiful but the
@@ -117,7 +120,10 @@ fn heavy_loss_without_rtx_survives() {
 fn jittery_link_never_reorders_into_panic() {
     let mut c = cfg(Scheme::adaptive());
     c.link.jitter_std = Dur::millis(15);
-    let result = run_session(StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10)), c);
+    let result = run(SessionSpec::new(
+        StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10)),
+        c,
+    ));
     assert_sane(&result);
 }
 
@@ -125,7 +131,10 @@ fn jittery_link_never_reorders_into_panic() {
 fn tiny_bottleneck_queue() {
     let mut c = cfg(Scheme::baseline());
     c.link.queue_capacity_bytes = 10_000; // < 8 MTU packets
-    let result = run_session(StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10)), c);
+    let result = run(SessionSpec::new(
+        StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10)),
+        c,
+    ));
     assert_sane(&result);
     assert!(result.queue_drops > 0, "tiny queue never dropped");
 }
@@ -135,7 +144,7 @@ fn extreme_frame_rates() {
     for fps in [5u32, 60] {
         let mut c = cfg(Scheme::adaptive());
         c.fps = fps;
-        let result = run_session(ConstantTrace::new(4e6), c);
+        let result = run(SessionSpec::new(ConstantTrace::new(4e6), c));
         assert_sane(&result);
         let expected = 20 * fps as u64;
         assert!(
@@ -151,7 +160,10 @@ fn low_resolution_capture() {
     let mut c = cfg(Scheme::adaptive());
     c.resolution = Resolution::P360;
     c.start_rate_bps = 1e6;
-    let result = run_session(StepTrace::sudden_drop(1e6, 0.3e6, Time::from_secs(10)), c);
+    let result = run(SessionSpec::new(
+        StepTrace::sudden_drop(1e6, 0.3e6, Time::from_secs(10)),
+        c,
+    ));
     assert_sane(&result);
 }
 
@@ -161,7 +173,7 @@ fn sender_grossly_overprovisioned_from_start() {
     // catastrophe; the adaptive controller must engage and stabilize.
     let mut c = cfg(Scheme::adaptive());
     c.start_rate_bps = 8e6;
-    let result = run_session(ConstantTrace::new(0.5e6), c);
+    let result = run(SessionSpec::new(ConstantTrace::new(0.5e6), c));
     assert_sane(&result);
     assert!(result.drops_handled >= 1);
     let tail = result
@@ -185,7 +197,7 @@ fn repeated_drops_in_quick_succession() {
             (Time::from_secs(15), 2e6),
         ])
     };
-    let result = run_session(trace(), cfg(Scheme::adaptive()));
+    let result = run(SessionSpec::new(trace(), cfg(Scheme::adaptive())));
     assert_sane(&result);
     // The controller may handle the staircase as several triggers or as
     // one long Drain episode whose capacity estimate keeps re-anchoring;
@@ -223,7 +235,7 @@ fn feedback_blackout_no_panic_sane_accounting() {
         c.reverse_path = ReversePathConfig::with_loss(0.3)
             .add_blackout(Time::from_secs(10), Time::from_secs(11));
         c.watchdog = Some(watchdog_for(&c));
-        let result = run_session(drop_trace(), c);
+        let result = run(SessionSpec::new(drop_trace(), c));
         assert_sane(&result);
         assert!(
             result.reverse_lost > 0,
@@ -248,7 +260,7 @@ fn duplicate_storm_discards_replayed_reports() {
         duplicate_prob: 0.9,
         ..ReversePathConfig::default()
     };
-    let result = run_session(drop_trace(), c);
+    let result = run(SessionSpec::new(drop_trace(), c));
     assert_sane(&result);
     assert!(result.reverse_duplicates > 0, "no duplicates injected");
     assert!(
@@ -271,7 +283,7 @@ fn reordered_reports_are_discarded_not_processed() {
         jitter_std: Dur::millis(30),
         ..ReversePathConfig::default()
     };
-    let result = run_session(drop_trace(), c);
+    let result = run(SessionSpec::new(drop_trace(), c));
     assert_sane(&result);
     assert!(
         result.reports_discarded > 0,
@@ -289,7 +301,7 @@ fn send_rate_decays_toward_floor_while_blind() {
         ReversePathConfig::default().add_blackout(Time::from_secs(10), Time::from_secs(13));
     let wd = watchdog_for(&c);
     c.watchdog = Some(wd);
-    let result = run_session(drop_trace(), c);
+    let result = run(SessionSpec::new(drop_trace(), c));
     assert_sane(&result);
     assert!(result.watchdog_timeouts >= 10, "too few blind steps");
     let target = result.series.get("target_bps").expect("series recorded");
@@ -326,8 +338,8 @@ fn impaired_reverse_path_is_deterministic() {
         c.watchdog = Some(watchdog_for(&c));
         c
     };
-    let a = run_session(drop_trace(), mk());
-    let b = run_session(drop_trace(), mk());
+    let a = run(SessionSpec::new(drop_trace(), mk()));
+    let b = run(SessionSpec::new(drop_trace(), mk()));
     assert_eq!(a.recorder.records(), b.recorder.records());
     assert_eq!(a.reverse_lost, b.reverse_lost);
     assert_eq!(a.reverse_duplicates, b.reverse_duplicates);
@@ -349,7 +361,7 @@ fn watchdog_improves_p95_latency_under_blind_drop() {
         if watchdog {
             c.watchdog = Some(watchdog_for(&c));
         }
-        run_session(drop_trace(), c)
+        run(SessionSpec::new(drop_trace(), c))
     };
     let without = mk(false);
     let with = mk(true);
@@ -373,7 +385,7 @@ fn watchdog_improves_p95_latency_under_blind_drop() {
 fn very_long_session_is_stable() {
     let mut c = cfg(Scheme::adaptive());
     c.duration = Dur::secs(180);
-    let result = run_session(ConstantTrace::new(4e6), c);
+    let result = run(SessionSpec::new(ConstantTrace::new(4e6), c));
     assert_sane(&result);
     let tail = result
         .recorder
@@ -401,7 +413,10 @@ fn forward_burst_loss_freeze_recovers_via_pli_keyframe() {
     };
     for scheme in [Scheme::baseline(), Scheme::adaptive()] {
         let schedule = ChaosSchedule::from_segments(vec![burst]);
-        let result = run_session_chaos(ConstantTrace::new(4e6), cfg(scheme), Some(schedule));
+        let result = run(SessionSpec {
+            chaos: Some(schedule),
+            ..SessionSpec::new(ConstantTrace::new(4e6), cfg(scheme))
+        });
         assert_sane(&result);
         assert!(
             result.chain_breaks >= 1,

@@ -5,7 +5,7 @@
 //! break invariants, this is where it shows.
 
 use ravel::core::AdaptiveConfig;
-use ravel::pipeline::{run_session, Scheme, SessionConfig, SessionResult};
+use ravel::pipeline::{run, Scheme, SessionConfig, SessionResult, SessionSpec};
 use ravel::sim::{Dur, Time};
 use ravel::trace::{BandwidthTrace, CellularProfile, StepTrace, StochasticTrace};
 
@@ -40,7 +40,7 @@ fn assert_invariants(result: &SessionResult) {
 fn all_features_on_stochastic_trace() {
     for scheme in [Scheme::baseline(), Scheme::adaptive()] {
         let trace = StochasticTrace::generate(&CellularProfile::lte_like(), Dur::secs(30), 11);
-        let result = run_session(trace, kitchen_sink_cfg(scheme));
+        let result = run(SessionSpec::new(trace, kitchen_sink_cfg(scheme)));
         assert_invariants(&result);
         // All subsystems actually engaged.
         assert!(result.retransmissions > 0, "{}: RTX idle", scheme.name());
@@ -68,8 +68,8 @@ fn all_features_on_stochastic_trace() {
 #[test]
 fn all_features_on_clean_drop_adaptive_still_wins() {
     let mk = || StepTrace::sudden_drop(4e6, 1e6, Time::from_secs(10));
-    let b = run_session(mk(), kitchen_sink_cfg(Scheme::baseline()));
-    let a = run_session(mk(), kitchen_sink_cfg(Scheme::adaptive()));
+    let b = run(SessionSpec::new(mk(), kitchen_sink_cfg(Scheme::baseline())));
+    let a = run(SessionSpec::new(mk(), kitchen_sink_cfg(Scheme::adaptive())));
     assert_invariants(&b);
     assert_invariants(&a);
     let bw = b
@@ -94,8 +94,8 @@ fn all_features_deterministic() {
     };
     let mut cfg = kitchen_sink_cfg(Scheme::adaptive());
     cfg.duration = Dur::secs(20);
-    let a = run_session(mk(), cfg);
-    let b = run_session(mk(), cfg);
+    let a = run(SessionSpec::new(mk(), cfg));
+    let b = run(SessionSpec::new(mk(), cfg));
     assert_eq!(a.recorder.records(), b.recorder.records());
     assert_eq!(a.retransmissions, b.retransmissions);
     assert_eq!(a.fec_recovered, b.fec_recovered);
@@ -105,10 +105,10 @@ fn all_features_deterministic() {
 #[test]
 fn continuous_mode_with_all_features() {
     let trace = StochasticTrace::generate(&CellularProfile::lte_like(), Dur::secs(30), 3);
-    let result = run_session(
+    let result = run(SessionSpec::new(
         trace,
         kitchen_sink_cfg(Scheme::adaptive_with(AdaptiveConfig::continuous())),
-    );
+    ));
     assert_invariants(&result);
     let s = result.recorder.summarize_all();
     assert!(s.mean_latency_ms < 400.0, "latency {}", s.mean_latency_ms);

@@ -2,7 +2,7 @@
 //! trajectories and seeds must never violate the pipeline's invariants.
 
 use proptest::prelude::*;
-use ravel::pipeline::{run_session, Scheme, SessionConfig};
+use ravel::pipeline::{run, Scheme, SessionConfig, SessionSpec};
 use ravel::sim::{Dur, Time};
 use ravel::trace::StepTrace;
 
@@ -39,7 +39,7 @@ proptest! {
             let mut cfg = SessionConfig::default_with(scheme);
             cfg.duration = Dur::secs(16);
             cfg.seed = seed;
-            let result = run_session(&trace, cfg);
+            let result = run(SessionSpec::new(&trace, cfg));
 
             // One record per captured frame, in pts order.
             prop_assert_eq!(
@@ -80,8 +80,8 @@ proptest! {
         let mut acfg = SessionConfig::default_with(Scheme::adaptive());
         acfg.duration = Dur::secs(16);
         acfg.seed = seed;
-        let b = run_session(mk(), bcfg);
-        let a = run_session(mk(), acfg);
+        let b = run(SessionSpec::new(mk(), bcfg));
+        let a = run(SessionSpec::new(mk(), acfg));
         let bw = b.recorder.summarize(Time::from_secs(8), Time::from_secs(15));
         let aw = a.recorder.summarize(Time::from_secs(8), Time::from_secs(15));
         // "Never catastrophically worse": within 1.5x + a 40 ms allowance
