@@ -15,11 +15,11 @@
 //! as one session population through the interleaved kernel
 //! (`ravel_pipeline::run_many`): one shared calendar queue and one
 //! event-payload arena per worker, reused batch after batch so
-//! steady-state event processing is allocation-free. De-interleaved
-//! results land in their grid slots exactly as the per-cell path would
-//! have put them — `BatchMode::Fixed(1)` *is* the historical per-cell
-//! path, kept as the differential oracle, and every batch size yields
-//! byte-identical deterministic output.
+//! steady-state event processing is allocation-free. A batch of one is
+//! the same path with a population of one — `BatchMode::Fixed(1)` runs
+//! every cell alone through the worker's workspace and is the
+//! differential oracle the larger batches are byte-compared against;
+//! every batch size yields byte-identical deterministic output.
 //!
 //! **Memoization.** Many experiments share cells — E1 and E2 expand the
 //! identical drop grid, and the canonical `talking-head/4→1 Mbps/gcc`
@@ -64,9 +64,9 @@ use std::time::{Duration, Instant};
 
 use ravel_obs::ObsMode;
 use ravel_pipeline::{
-    evaluate, run, run_many, ContractVerdict, Invariant, KernelWorkspace, SessionResult,
-    SessionSpec,
+    evaluate, run_many, ContractVerdict, Invariant, KernelWorkspace, SessionResult, SessionSpec,
 };
+use ravel_trace::BandwidthTrace;
 
 use crate::cell::Cell;
 
@@ -297,11 +297,10 @@ pub struct PoolStats {
     /// proportion to kernel-reported per-session event counts, so the
     /// sum of executed cells' walls still equals busy exactly.
     pub busy: Duration,
-    /// Event-payload allocations served from the per-worker arenas'
-    /// free lists instead of the allocator, summed over all workers.
-    /// Zero on the per-cell path (batch 1), which keeps the historical
-    /// allocating kernel. Schedule-dependent, so excluded from the
-    /// byte-compared (timing-free) report.
+    /// `EncodeDone` boxes served from the per-worker arenas' free
+    /// lists instead of the allocator, summed over all workers.
+    /// Schedule-dependent, so excluded from the byte-compared
+    /// (timing-free) report.
     pub allocs_avoided: u64,
     /// Peak number of live pooled payload boxes in any single worker's
     /// arena — a leak here would grow with cell count instead of
@@ -370,15 +369,16 @@ impl Memo {
 /// `events_per_sec` derived from the share reflects the batch's actual
 /// aggregate throughput instead of crediting one cell with its batch-
 /// mates' wall time.
-fn attribute_walls(wall: Duration, results: &[SessionResult]) -> Vec<Duration> {
-    let total: u64 = results.iter().map(|r| r.events_processed).sum();
+fn attribute_walls(wall: Duration, outcomes: &[CellOutcome]) -> Vec<Duration> {
+    let events = |o: &CellOutcome| o.as_ref().map_or(0, |r| r.events_processed);
+    let total: u64 = outcomes.iter().map(events).sum();
     if total == 0 {
-        let share = wall / results.len().max(1) as u32;
-        return vec![share; results.len()];
+        let share = wall / outcomes.len().max(1) as u32;
+        return vec![share; outcomes.len()];
     }
-    results
+    outcomes
         .iter()
-        .map(|r| wall.mul_f64(r.events_processed as f64 / total as f64))
+        .map(|o| wall.mul_f64(events(o) as f64 / total as f64))
         .collect()
 }
 
@@ -419,40 +419,60 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one simulation under full fault isolation: panic quarantine,
-/// the kernel runaway guard, and (when a deadline is set) supervisor
-/// cancellation.
-fn execute_cell(cell: &Cell, opts: PoolOptions, slot: &WatchSlot) -> CachedCell {
+/// Runs `specs` as one session population on the worker's workspace
+/// under full fault isolation: panic quarantine, the kernel runaway
+/// guard, and (when a deadline is set) supervisor cancellation.
+///
+/// Returns each session's outcome in spec order, or — if the run
+/// panicked — the panic as a [`CellStatus::Panicked`] failure, after
+/// resetting the workspace (its queue and free lists may hold the
+/// aborted run's state). Either way, the run's wall clock comes back
+/// with it.
+fn execute(
+    mut specs: Vec<SessionSpec<Box<dyn BandwidthTrace>>>,
+    opts: PoolOptions,
+    slot: &WatchSlot,
+    ws: &mut KernelWorkspace,
+) -> (Result<Vec<CellOutcome>, CellFailure>, Duration) {
     let cancel = opts.deadline.map(|_| Arc::new(AtomicBool::new(false)));
     if let Some(flag) = &cancel {
         slot.arm(flag.clone());
+        for spec in &mut specs {
+            spec.guard.cancel = Some(flag.clone());
+        }
     }
-    let mut spec = SessionSpec {
-        obs: opts.obs,
-        ..cell.spec()
-    };
-    spec.guard.cancel = cancel.clone();
     let started = Instant::now();
-    let caught = catch_unwind(AssertUnwindSafe(|| run(spec)));
+    let caught = catch_unwind(AssertUnwindSafe(|| run_many(specs, ws)));
     let wall = started.elapsed();
     if cancel.is_some() {
         slot.disarm();
     }
-    let outcome = match caught {
-        Err(payload) => Err(CellFailure::new(
-            CellStatus::Panicked,
-            panic_message(payload.as_ref()),
-        )),
-        Ok(result) if result.cancelled => Err(CellFailure::new(
-            CellStatus::TimedOut,
-            format!(
-                "wall-clock deadline {:.3}s exceeded; session cancelled by the pool supervisor",
-                opts.deadline.unwrap_or_default().as_secs_f64()
-            ),
-        )),
-        Ok(result) => Ok(result),
+    let attempt = match caught {
+        Err(payload) => {
+            ws.quarantine_reset();
+            Err(CellFailure::new(
+                CellStatus::Panicked,
+                panic_message(payload.as_ref()),
+            ))
+        }
+        Ok(results) => Ok(results
+            .into_iter()
+            .map(|result| {
+                if result.cancelled {
+                    Err(CellFailure::new(
+                        CellStatus::TimedOut,
+                        format!(
+                            "wall-clock deadline {:.3}s exceeded; session cancelled by the pool supervisor",
+                            opts.deadline.unwrap_or_default().as_secs_f64()
+                        ),
+                    ))
+                } else {
+                    Ok(result)
+                }
+            })
+            .collect()),
     };
-    (outcome, wall)
+    (attempt, wall)
 }
 
 /// Materializes one grid position's [`CellRun`] from a (possibly
@@ -554,10 +574,9 @@ pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<Ce
             let keys = &keys;
             scope.spawn(move || {
                 let mut busy = Duration::ZERO;
-                // Per-worker kernel scratch, reused across batches so
-                // the queue's bucket Vecs and the payload arena's free
-                // list stay warm. The per-cell path (batch 1) runs on
-                // the allocating oracle and never touches it.
+                // Per-worker kernel scratch, reused across claims so the
+                // queue's bucket Vecs and the payload arena's free lists
+                // stay warm, at every batch size.
                 let mut ws = KernelWorkspace::new();
                 loop {
                     let start = next.fetch_add(batch, Ordering::Relaxed);
@@ -565,48 +584,18 @@ pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<Ce
                         break;
                     }
                     let end = (start + batch).min(cells.len());
-                    if batch == 1 {
-                        let i = start;
-                        let cell = &cells[i];
-                        let run = if opts.use_cache {
-                            let memo = cache
-                                .lock()
-                                .expect("cell cache poisoned")
-                                .entry(keys[i].as_str())
-                                .or_default()
-                                .clone();
-                            if memo.claim() {
-                                let (outcome, wall) = execute_cell(cell, opts, slot);
-                                busy += wall;
-                                executed.fetch_add(1, Ordering::Relaxed);
-                                let run = make_run(cell, wall, false, &outcome);
-                                memo.fulfill((outcome, wall));
-                                run
-                            } else {
-                                let (outcome, wall) = memo.wait();
-                                make_run(cell, wall, true, &outcome)
-                            }
-                        } else {
-                            let (outcome, wall) = execute_cell(cell, opts, slot);
-                            busy += wall;
-                            executed.fetch_add(1, Ordering::Relaxed);
-                            make_run(cell, wall, false, &outcome)
-                        };
-                        slots.lock().expect("pool slots poisoned")[i] = Some(run);
-                    } else {
-                        run_batch(
-                            cells,
-                            keys,
-                            start..end,
-                            opts,
-                            cache,
-                            &mut ws,
-                            slot,
-                            slots,
-                            &mut busy,
-                            executed,
-                        );
-                    }
+                    run_batch(
+                        cells,
+                        keys,
+                        start..end,
+                        opts,
+                        cache,
+                        &mut ws,
+                        slot,
+                        slots,
+                        &mut busy,
+                        executed,
+                    );
                 }
                 let stats = ws.arena_stats();
                 {
@@ -663,13 +652,11 @@ pub fn run_cells_opts(cells: &[Cell], jobs: usize, opts: PoolOptions) -> (Vec<Ce
 /// grid slots. Cache-hit positions resolve *after* the batch runs, so
 /// a worker never waits on a memo while holding unfulfilled claims.
 ///
-/// If anything in the batch panics, the whole attempt is discarded and
-/// every claimed position re-runs through the per-cell quarantine path
-/// ([`execute_cell`]): the panicking cell records exactly the failure
-/// it would have solo, batch-mates recompute cleanly, and every claim
-/// is still fulfilled. The workspace is replaced afterwards (its queue
-/// and arena may hold the aborted batch's state), preserving its arena
-/// counters.
+/// If a population of several panics, the whole attempt is discarded
+/// and every claimed position re-runs alone ([`execute`] with one
+/// spec): the panicking cell records exactly the failure it would have
+/// solo, batch-mates recompute cleanly, and every claim is still
+/// fulfilled. A population of one records its panic directly.
 #[allow(clippy::too_many_arguments)]
 fn run_batch<'g>(
     cells: &'g [Cell],
@@ -718,44 +705,38 @@ fn run_batch<'g>(
             }
         }
         if !computing.is_empty() {
-            let specs = computing
-                .iter()
-                .map(|&(i, _)| SessionSpec {
-                    obs: opts.obs,
-                    ..cells[i].spec()
-                })
-                .collect();
-            let started = Instant::now();
-            let attempt = catch_unwind(AssertUnwindSafe(|| run_many(specs, ws)));
-            let wall = started.elapsed();
-            match attempt {
-                Ok(results) => {
-                    let walls = attribute_walls(wall, &results);
-                    for (((i, memo), result), wall_i) in
-                        computing.into_iter().zip(results).zip(walls)
-                    {
-                        let outcome: CellOutcome = Ok(result);
-                        *busy += wall_i;
-                        executed.fetch_add(1, Ordering::Relaxed);
-                        let run = make_run(&cells[i], wall_i, false, &outcome);
-                        slots.lock().expect("pool slots poisoned")[i] = Some(run);
-                        if let Some(memo) = memo {
-                            memo.fulfill((outcome, wall_i));
-                        }
-                    }
+            let spec = |i: usize| SessionSpec {
+                obs: opts.obs,
+                ..cells[i].spec()
+            };
+            let specs = computing.iter().map(|&(i, _)| spec(i)).collect();
+            let (outcomes, walls) = match execute(specs, opts, slot, ws) {
+                (Ok(outcomes), wall) => {
+                    let walls = attribute_walls(wall, &outcomes);
+                    (outcomes, walls)
                 }
-                Err(_) => {
-                    ws.quarantine_reset();
-                    for (i, memo) in computing {
-                        let (outcome, wall_i) = execute_cell(&cells[i], opts, slot);
-                        *busy += wall_i;
-                        executed.fetch_add(1, Ordering::Relaxed);
-                        let run = make_run(&cells[i], wall_i, false, &outcome);
-                        slots.lock().expect("pool slots poisoned")[i] = Some(run);
-                        if let Some(memo) = memo {
-                            memo.fulfill((outcome, wall_i));
+                (Err(failure), wall) if computing.len() == 1 => (vec![Err(failure)], vec![wall]),
+                (Err(_), _) => {
+                    let mut outcomes = Vec::with_capacity(computing.len());
+                    let mut walls = Vec::with_capacity(computing.len());
+                    for &(i, _) in &computing {
+                        let (attempt, wall) = execute(vec![spec(i)], opts, slot, ws);
+                        match attempt {
+                            Ok(solo) => outcomes.extend(solo),
+                            Err(failure) => outcomes.push(Err(failure)),
                         }
+                        walls.push(wall);
                     }
+                    (outcomes, walls)
+                }
+            };
+            for (((i, memo), outcome), wall_i) in computing.into_iter().zip(outcomes).zip(walls) {
+                *busy += wall_i;
+                executed.fetch_add(1, Ordering::Relaxed);
+                let run = make_run(&cells[i], wall_i, false, &outcome);
+                slots.lock().expect("pool slots poisoned")[i] = Some(run);
+                if let Some(memo) = memo {
+                    memo.fulfill((outcome, wall_i));
                 }
             }
         }

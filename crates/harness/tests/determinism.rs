@@ -4,11 +4,11 @@
 use std::time::Duration;
 
 use ravel_harness::{
-    experiments, render_json, run_suite, run_suite_opts, BatchMode, Cell, Experiment,
-    ExperimentRun, Output, PoolOptions, RunReport, TraceSpec,
+    experiments, render_json, run_cells_opts, run_suite, run_suite_opts, BatchMode, Cell,
+    CellStatus, Experiment, ExperimentRun, Output, PoolOptions, RunReport, TraceSpec,
 };
 use ravel_metrics::Table;
-use ravel_pipeline::{Scheme, SessionConfig};
+use ravel_pipeline::{InjectedFault, Scheme, SessionConfig};
 use ravel_sim::{Dur, Time};
 
 /// A small but non-trivial grid: 2 schemes × 2 drop severities over a
@@ -382,4 +382,53 @@ fn full_registry_assembles_from_out_of_order_pool() {
     let serial = run_suite(&exps, 1);
     let parallel = run_suite(&exps, 8);
     assert_eq!(serial[0].output.render(), parallel[0].output.render());
+}
+
+/// A 4 s cell whose session panics at 2 s.
+fn panicking_cell(label: &str) -> Cell {
+    let mut cfg = SessionConfig::default_with(Scheme::baseline());
+    cfg.duration = Dur::secs(4);
+    cfg.inject = InjectedFault::Panic {
+        at: Time::from_secs(2),
+    };
+    Cell {
+        label: label.into(),
+        trace: TraceSpec::Constant(3e6),
+        cfg,
+        contracts: None,
+    }
+}
+
+#[test]
+fn per_cell_pool_matches_cell_run_even_after_a_quarantined_panic() {
+    // The pool's per-cell path runs each cell through the worker's
+    // reused workspace (warm queue buckets and payload free lists).
+    // Over LTE traces, random loss, RTX and FEC — E9, E11, E14 — every
+    // result must equal the allocating `Cell::run` oracle exactly,
+    // including the first cell after a panic reset the workspace.
+    let mut cells = Vec::new();
+    for exp in [experiments::e9(1), experiments::e11(), experiments::e14()] {
+        cells.push(panicking_cell(&format!("panic-before-{}", exp.id)));
+        cells.extend(exp.cells);
+    }
+    let opts = PoolOptions {
+        use_cache: false,
+        batch: BatchMode::Fixed(1),
+        ..PoolOptions::default()
+    };
+    let (runs, stats) = run_cells_opts(&cells, 1, opts);
+    assert_eq!(stats.executed, cells.len());
+    for (cell, run) in cells.iter().zip(&runs) {
+        if cell.label.starts_with("panic-before-") {
+            assert_eq!(run.status, CellStatus::Panicked, "{}", cell.label);
+            continue;
+        }
+        assert_eq!(run.status, CellStatus::Ok, "{}", cell.label);
+        assert_eq!(
+            format!("{:?}", run.result),
+            format!("{:?}", cell.run()),
+            "pool result diverged from Cell::run for {}",
+            cell.label
+        );
+    }
 }

@@ -9,15 +9,19 @@
 //! * `release_store_send_10_to_2_5` — `Pacer::release_into` →
 //!   `RtxBuffer::store` → `Link::send` per packet over a 40 s, 30 fps
 //!   stream that meets a 10 → 2.5 Mbps `StepTrace` drop at 25 s.
+//! * `link_send_lte_chaos` — `Link::send` per packet over the
+//!   `lossy-cell` link: a seeded LTE-like `StochasticTrace` inside an
+//!   empty `ChaosTrace`, boxed as the session boxes it, with 3 % random
+//!   loss; one 1240-byte packet every 8 ms for 40 s.
 //!
 //! Run with `cargo bench -p ravel-net --bench send_path`; every line
 //! reports ns per element (per packet, or per NACK batch).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ravel_net::packet::HEADER_BYTES;
-use ravel_net::{Link, LinkConfig, MediaKind, Pacer, Packet, RtxBuffer};
+use ravel_net::{ChaosSchedule, ChaosTrace, Link, LinkConfig, MediaKind, Pacer, Packet, RtxBuffer};
 use ravel_sim::{Dur, Time};
-use ravel_trace::StepTrace;
+use ravel_trace::{BandwidthTrace, CellularProfile, StepTrace, StochasticTrace};
 use std::hint::black_box;
 
 /// Stores per timed iteration of the store bench.
@@ -105,6 +109,26 @@ fn drop_session(out: &mut Vec<Packet>) -> u64 {
     sent
 }
 
+/// Spacing and count of the LTE stream's packets.
+const LTE_SPACING: Dur = Dur::millis(8);
+const LTE_PACKETS: u64 = 5_000;
+
+/// Sends the 40 s LTE stream through a fresh `lossy-cell` link;
+/// returns the packets delivered.
+fn lte_session(trace: &StochasticTrace) -> u64 {
+    let inner: Box<dyn BandwidthTrace> = Box::new(trace.clone());
+    let cfg = LinkConfig {
+        random_loss: 0.03,
+        ..LinkConfig::typical()
+    };
+    let mut link = Link::new(ChaosTrace::new(inner, ChaosSchedule::empty()), cfg, 1);
+    for seq in 0..LTE_PACKETS {
+        let now = Time::ZERO + LTE_SPACING * seq;
+        black_box(link.send(&packet(seq, now), now));
+    }
+    link.delivered()
+}
+
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("send_path");
 
@@ -147,6 +171,11 @@ fn bench(c: &mut Criterion) {
     g.bench_function("release_store_send_10_to_2_5", |b| {
         b.iter(|| drop_session(&mut out))
     });
+
+    let lte = StochasticTrace::generate(&CellularProfile::lte_like(), Dur::secs(40), 7);
+    g.sample_size(20)
+        .throughput(Throughput::Elements(LTE_PACKETS));
+    g.bench_function("link_send_lte_chaos", |b| b.iter(|| lte_session(&lte)));
     g.finish();
 }
 

@@ -236,6 +236,25 @@ impl ChaosSchedule {
         factor
     }
 
+    /// The first instant after `at` at which a capacity fault (blackout
+    /// or collapse) starts or ends, or [`Time::FAR_FUTURE`] if none
+    /// does: [`ChaosSchedule::capacity_factor`] is constant over
+    /// `[at, next_capacity_change(at))`.
+    fn next_capacity_change(&self, at: Time) -> Time {
+        self.segments
+            .iter()
+            .filter(|s| {
+                matches!(
+                    s.kind,
+                    FaultKind::Blackout | FaultKind::CapacityCollapse { .. }
+                )
+            })
+            .flat_map(|s| [s.from, s.until])
+            .filter(|&edge| edge > at)
+            .min()
+            .unwrap_or(Time::FAR_FUTURE)
+    }
+
     /// The smallest active shrunken payload MTU at `at`, if any.
     pub fn payload_mtu(&self, at: Time) -> Option<u64> {
         self.segments
@@ -428,6 +447,15 @@ impl<T> ChaosTrace<T> {
 impl<T: BandwidthTrace> BandwidthTrace for ChaosTrace<T> {
     fn rate_bps(&self, at: Time) -> f64 {
         self.inner.rate_bps(at) * self.schedule.capacity_factor(at)
+    }
+
+    /// The inner span, cut at the schedule's next capacity-fault edge.
+    fn rate_span(&self, at: Time) -> (f64, Time) {
+        let (rate, until) = self.inner.rate_span(at);
+        (
+            rate * self.schedule.capacity_factor(at),
+            until.min(self.schedule.next_capacity_change(at)),
+        )
     }
 }
 
@@ -778,6 +806,52 @@ mod tests {
                 proptest::prop_assert!(
                     (w[0].from, w[0].until) <= (w[1].from, w[1].until),
                     "out of order: {:?} then {:?}", w[0], w[1]
+                );
+            }
+        }
+
+        /// `ChaosTrace::rate_span` agrees with `rate_bps` over its whole
+        /// span, for generated schedules plus explicit blackouts and
+        /// collapses (overlapping each other or not) over an LTE-like
+        /// inner trace.
+        #[test]
+        fn chaos_rate_span_matches_rate_bps(
+            (seed, intensity_pct) in (0u64..5_000, 1u32..101),
+            extra in proptest::collection::vec((0u64..20_000, 1u64..3_000, 0u64..2, 1u32..100), 0..4),
+            query_ms in 0u64..20_000,
+            probes in proptest::collection::vec(0.0f64..1.0, 1..12),
+        ) {
+            let spec = ChaosSpec::new(seed, intensity_pct as f64 / 100.0);
+            let mut schedule = ChaosSchedule::generate(spec, Dur::secs(20));
+            for (from_ms, len_ms, blackout, factor_pct) in extra {
+                let from = Time::from_millis(from_ms);
+                schedule.segments.push(FaultSegment {
+                    from,
+                    until: from + Dur::millis(len_ms),
+                    kind: if blackout == 1 {
+                        FaultKind::Blackout
+                    } else {
+                        FaultKind::CapacityCollapse { factor: factor_pct as f64 / 100.0 }
+                    },
+                });
+            }
+            let inner = ravel_trace::StochasticTrace::generate(
+                &ravel_trace::CellularProfile::lte_like(),
+                Dur::secs(20),
+                seed,
+            );
+            let trace = ChaosTrace::new(inner, schedule);
+            let at = Time::from_millis(query_ms);
+            let (rate, until) = trace.rate_span(at);
+            proptest::prop_assert!(until > at, "empty span at {at}");
+            let width = until.min(at + Dur::secs(100)).since(at).as_micros();
+            let last = at + Dur::micros(width - 1);
+            let inside = probes.iter().map(|f| at + Dur::micros((f * width as f64) as u64 % width));
+            for t in [at, last].into_iter().chain(inside) {
+                let got = trace.rate_bps(t);
+                proptest::prop_assert!(
+                    got.to_bits() == rate.to_bits(),
+                    "span [{at}, {until}) says {rate} but rate_bps({t}) = {got}"
                 );
             }
         }

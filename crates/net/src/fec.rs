@@ -341,6 +341,16 @@ impl FecDecoder {
     /// newly recoverable, one per group completed down to a single
     /// missing member, in ascending group-key order.
     pub fn on_media_packet(&mut self, seq: u64) -> Vec<u64> {
+        let mut hits = Vec::new();
+        self.on_media_packet_into(seq, &mut hits);
+        hits
+    }
+
+    /// [`FecDecoder::on_media_packet`] into a caller-owned buffer, the
+    /// hot-path form: `hits` is cleared and refilled with the newly
+    /// recoverable seqs, so a receiver reusing one buffer never
+    /// allocates per arrival.
+    pub fn on_media_packet_into(&mut self, seq: u64, hits: &mut Vec<u64>) {
         self.arrivals.push(seq);
         // Fresh seqs lie at or past the newest span: skip the search.
         let end = match self.spans.back() {
@@ -362,7 +372,7 @@ impl FecDecoder {
                 }
             }
         }
-        self.take_hits()
+        self.take_hits(hits);
     }
 
     /// Feeds one arrived parity packet. Returns newly recoverable seqs.
@@ -371,6 +381,15 @@ impl FecDecoder {
     /// repeated one (same `frame_index`) keeps the group as it is. A
     /// parity for an evicted group re-opens it.
     pub fn on_parity_packet(&mut self, parity: &Packet) -> Vec<u64> {
+        let mut hits = Vec::new();
+        self.on_parity_packet_into(parity, &mut hits);
+        hits
+    }
+
+    /// [`FecDecoder::on_parity_packet`] into a caller-owned buffer: `hits`
+    /// is cleared and refilled, as in
+    /// [`FecDecoder::on_media_packet_into`].
+    pub fn on_parity_packet_into(&mut self, parity: &Packet, hits: &mut Vec<u64>) {
         debug_assert_eq!(parity.kind, MediaKind::Fec);
         let key = parity.frame_index;
         let i = match self.groups.binary_search_by_key(&key, |g| g.key) {
@@ -386,7 +405,7 @@ impl FecDecoder {
         while self.groups.len() > MAX_GROUPS {
             self.evict_smallest_key();
         }
-        self.take_hits()
+        self.take_hits(hits);
     }
 
     /// The seq range a parity packet covers (diagnostics).
@@ -466,15 +485,13 @@ impl FecDecoder {
         self.spare.push(group.arrived);
     }
 
-    /// Counts this packet's recoveries and returns them in group-key
-    /// order; allocates only when there is one.
-    fn take_hits(&mut self) -> Vec<u64> {
-        if self.hits.is_empty() {
-            return Vec::new();
-        }
+    /// Counts this packet's recoveries and moves them into `out` in
+    /// group-key order (`out` is cleared first).
+    fn take_hits(&mut self, out: &mut Vec<u64>) {
+        out.clear();
         self.hits.sort_unstable();
         self.recovered += self.hits.len() as u64;
-        self.hits.drain(..).map(|(_, seq)| seq).collect()
+        out.extend(self.hits.drain(..).map(|(_, seq)| seq));
     }
 }
 

@@ -152,11 +152,39 @@ impl FeedbackBuilder {
     /// report's end through the highest arrival recorded, marking gaps as
     /// lost. Returns `None` when nothing new arrived.
     pub fn flush(&mut self, now: Time) -> Option<FeedbackReport> {
+        let mut packets = Vec::with_capacity(self.pending.len());
+        let report_seq = self.fill(&mut packets)?;
+        Some(FeedbackReport {
+            report_seq,
+            generated_at: now,
+            packets,
+        })
+    }
+
+    /// [`FeedbackBuilder::flush`] into a caller-owned report, the
+    /// hot-path form: every field of `report` is overwritten and its
+    /// `packets` buffer is cleared and refilled, so a session recycling
+    /// report buffers stops allocating per flush. Returns false, with
+    /// `report.packets` empty, when `flush` would return `None`.
+    pub fn flush_into(&mut self, now: Time, report: &mut FeedbackReport) -> bool {
+        report.packets.clear();
+        let Some(report_seq) = self.fill(&mut report.packets) else {
+            return false;
+        };
+        report.report_seq = report_seq;
+        report.generated_at = now;
+        true
+    }
+
+    /// Appends the next report's results to `packets` and returns its
+    /// sequence number, or `None` (appending nothing) when nothing new
+    /// arrived.
+    fn fill(&mut self, packets: &mut Vec<PacketResult>) -> Option<u64> {
         if self.pending.is_empty() {
             return None;
         }
         self.pending.sort_by_key(|p| p.seq);
-        let highest = self.pending.last().expect("non-empty").seq;
+        let highest = self.pending.last()?.seq;
         if highest < self.next_expected_seq {
             // Everything pending duplicates an already-reported seq
             // (e.g. an RTX repair landing after its gap was declared
@@ -166,7 +194,6 @@ impl FeedbackBuilder {
             self.pending.clear();
             return None;
         }
-        let mut packets = Vec::with_capacity(self.pending.len());
         let mut iter = self.pending.drain(..).peekable();
         for seq in self.next_expected_seq..=highest {
             // Discard duplicates and below-window stragglers without
@@ -175,28 +202,22 @@ impl FeedbackBuilder {
                 iter.next();
             }
             match iter.peek() {
-                Some(p) if p.seq == seq => {
-                    let p = iter.next().expect("peeked");
+                Some(&p) if p.seq == seq => {
                     packets.push(p);
+                    iter.next();
                 }
-                _ => {
-                    packets.push(PacketResult {
-                        seq,
-                        send_time: self.last_send_time,
-                        arrival: None,
-                        size_bytes: 0,
-                    });
-                }
+                _ => packets.push(PacketResult {
+                    seq,
+                    send_time: self.last_send_time,
+                    arrival: None,
+                    size_bytes: 0,
+                }),
             }
         }
         self.next_expected_seq = highest + 1;
         let report_seq = self.next_report_seq;
         self.next_report_seq += 1;
-        Some(FeedbackReport {
-            report_seq,
-            generated_at: now,
-            packets,
-        })
+        Some(report_seq)
     }
 }
 

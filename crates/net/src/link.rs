@@ -12,6 +12,12 @@
 //! piecewise-constant traces in `ravel-trace` down to that grain). This
 //! keeps the simulation event count at one event per packet while
 //! producing the same queueing dynamics as a byte-level model.
+//!
+//! The link caches the trace's current [`BandwidthTrace::rate_span`]:
+//! a slice whose start lies inside the cached span reuses its rate, so
+//! the trace is queried once per capacity segment rather than once per
+//! 1 ms slice. The per-slice arithmetic is unchanged, so delivery
+//! times are bit-identical to querying every slice.
 
 use std::collections::VecDeque;
 
@@ -86,6 +92,11 @@ pub struct Link<T> {
     backlog: u64,
     /// Monotonic delivery floor so jitter cannot reorder.
     last_arrival: Time,
+    /// The cached capacity span: the trace's rate is `span_rate` over
+    /// `[span_from, span_until)`. Starts empty.
+    span_rate: f64,
+    span_from: Time,
+    span_until: Time,
     /// Lifetime counters.
     delivered: u64,
     queue_drops: u64,
@@ -110,6 +121,9 @@ impl<T: BandwidthTrace> Link<T> {
             scheduled: VecDeque::with_capacity(128),
             backlog: 0,
             last_arrival: Time::ZERO,
+            span_rate: 0.0,
+            span_from: Time::ZERO,
+            span_until: Time::ZERO,
             delivered: 0,
             queue_drops: 0,
             random_losses: 0,
@@ -190,16 +204,24 @@ impl<T: BandwidthTrace> Link<T> {
         Delivery::At(arrival)
     }
 
+    /// The capacity at `t`, from the cached span when `t` lies in it.
+    fn rate_at(&mut self, t: Time) -> f64 {
+        if t < self.span_from || t >= self.span_until {
+            let (rate, until) = self.trace.rate_span(t);
+            (self.span_rate, self.span_from, self.span_until) = (rate, t, until);
+        }
+        self.span_rate
+    }
+
     /// Integrates the capacity trace from `start` until `bits` have been
     /// transmitted, in ≤1 ms slices.
-    fn serialize(&self, start: Time, bits: u64) -> Time {
-        const SLICE: Dur = Dur::MILLI;
+    fn serialize(&mut self, start: Time, bits: u64) -> Time {
         let mut t = start;
         let mut remaining = bits as f64;
         // Hard ceiling to avoid spinning on a dead link: 60 s per packet.
         let deadline = start + Dur::secs(60);
         while remaining > 0.0 && t < deadline {
-            let rate = self.trace.rate_bps(t);
+            let rate = self.rate_at(t);
             if rate <= 0.0 {
                 t += SLICE;
                 continue;
@@ -217,9 +239,13 @@ impl<T: BandwidthTrace> Link<T> {
     }
 }
 
+/// Serialization slice: capacity is integrated in steps of at most this.
+const SLICE: Dur = Dur::MILLI;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{ChaosSchedule, ChaosTrace};
     use crate::packet::MediaKind;
     use ravel_trace::{ConstantTrace, StepTrace};
 
@@ -368,7 +394,92 @@ mod tests {
         );
     }
 
+    /// The pre-cache serializer, verbatim: one trace query per slice.
+    fn serialize_per_slice<T: BandwidthTrace>(trace: &T, start: Time, bits: u64) -> Time {
+        let mut t = start;
+        let mut remaining = bits as f64;
+        let deadline = start + Dur::secs(60);
+        while remaining > 0.0 && t < deadline {
+            let rate = trace.rate_bps(t);
+            if rate <= 0.0 {
+                t += SLICE;
+                continue;
+            }
+            let slice_bits = rate * SLICE.as_secs_f64();
+            if slice_bits >= remaining {
+                t += Dur::from_secs_f64(remaining / rate);
+                remaining = 0.0;
+            } else {
+                remaining -= slice_bits;
+                t += SLICE;
+            }
+        }
+        t
+    }
+
+    /// Hides a trace's spans: every `rate_span` is one clock grain
+    /// (the trait default), so a link over it queries every slice.
+    struct PerSlice<T>(T);
+
+    impl<T: BandwidthTrace> BandwidthTrace for PerSlice<T> {
+        fn rate_bps(&self, at: Time) -> f64 {
+            self.0.rate_bps(at)
+        }
+    }
+
+    /// A chaos-wrapped step trace with sub-millisecond breakpoints and
+    /// zero-rate stretches, from generated `(gap µs, rate)` pairs.
+    fn chaotic_trace(steps: &[(u64, f64)], seed: u64) -> ChaosTrace<StepTrace> {
+        let mut t = Time::ZERO;
+        let mut points = vec![(t, 2e6)];
+        for &(gap, rate) in steps {
+            t += Dur::micros(gap);
+            // A fifth of the segments are dead links.
+            points.push((t, if rate < 0.6e6 { 0.0 } else { rate }));
+        }
+        // A live tail, so no packet waits out the dead-link ceiling.
+        points.push((t + Dur::MICRO, 1e6));
+        let spec = crate::chaos::ChaosSpec::new(seed, 1.0);
+        ChaosTrace::new(
+            StepTrace::new(points),
+            ChaosSchedule::generate(spec, Dur::secs(4)),
+        )
+    }
+
     proptest::proptest! {
+        /// The span-cached link and a link that queries the trace every
+        /// slice deliver identically — same `Delivery` sequence, bit
+        /// for bit — and each finish time equals the verbatim
+        /// per-slice serializer's.
+        #[test]
+        fn span_cache_matches_per_slice_reference(
+            steps in proptest::collection::vec((1u64..400_000, 0.0f64..3e6), 1..24),
+            sends in proptest::collection::vec((0u64..40_000, 40u64..1500), 1..80),
+            (seed, loss_pct, jitter_ms) in (0u64..1_000, 0u64..20, 0u64..4),
+        ) {
+            let cfg = LinkConfig {
+                random_loss: loss_pct as f64 / 100.0,
+                jitter_std: Dur::millis(jitter_ms),
+                queue_capacity_bytes: 60_000,
+                ..quiet_cfg()
+            };
+            let mut cached = Link::new(chaotic_trace(&steps, seed), cfg, seed);
+            let mut reference = Link::new(PerSlice(chaotic_trace(&steps, seed)), cfg, seed);
+            let mut now = Time::ZERO;
+            for (i, &(gap, size)) in sends.iter().enumerate() {
+                now += Dur::micros(gap);
+                let start = cached.free_at.max(now);
+                let p = pkt(i as u64, size);
+                let expected_finish = serialize_per_slice(cached.trace(), start, p.size_bits());
+                let got = cached.send(&p, now);
+                proptest::prop_assert_eq!(got, reference.send(&p, now));
+                if got != Delivery::QueueDrop {
+                    proptest::prop_assert_eq!(cached.free_at, expected_finish);
+                }
+            }
+            proptest::prop_assert_eq!(cached.delivered(), reference.delivered());
+        }
+
         /// Deliveries are always at least propagation after send, and
         /// monotone across a burst.
         #[test]

@@ -127,6 +127,9 @@ pub struct FrameAssembler {
     /// fragment bitmaps per in-flight frame: frame_index → (received
     /// mask-count, expected, bytes, pts, keyframe, latest arrival).
     pending: BTreeMap<u64, PendingFrame>,
+    /// Fragment bitmaps of completed and evicted frames, reused by the
+    /// next frames so steady-state assembly does not allocate them.
+    spare: Vec<Vec<bool>>,
 }
 
 #[derive(Debug, Clone)]
@@ -157,11 +160,17 @@ impl FrameAssembler {
     /// Feeds one arrived packet; returns the frame if this packet
     /// completed it.
     pub fn push(&mut self, packet: &Packet, arrival: Time) -> Option<ReassembledFrame> {
+        let spare = &mut self.spare;
         let entry = self
             .pending
             .entry(packet.frame_index)
             .or_insert_with(|| PendingFrame {
-                received: vec![false; packet.num_fragments as usize],
+                received: {
+                    let mut bitmap = spare.pop().unwrap_or_default();
+                    bitmap.clear();
+                    bitmap.resize(packet.num_fragments as usize, false);
+                    bitmap
+                },
                 received_count: 0,
                 bytes: 0,
                 pts: packet.pts,
@@ -178,23 +187,39 @@ impl FrameAssembler {
         entry.bytes += packet.size_bytes;
         entry.last_arrival = entry.last_arrival.max(arrival);
 
-        if entry.received_count as usize == entry.received.len() {
-            let done = self.pending.remove(&packet.frame_index).expect("present");
-            // Keep older incomplete frames: with NACK/RTX their missing
-            // fragments may still arrive, and the playout jitter buffer
-            // can decode them in capture order afterwards. Only evict
-            // frames that have fallen beyond any plausible repair horizon.
-            let horizon = packet.frame_index.saturating_sub(Self::REPAIR_HORIZON);
-            self.pending.retain(|&idx2, _| idx2 >= horizon);
-            Some(ReassembledFrame {
-                frame_index: packet.frame_index,
-                pts: done.pts,
-                complete_at: done.last_arrival.max(arrival),
-                is_keyframe: done.is_keyframe,
-                total_bytes: done.bytes,
-            })
-        } else {
-            None
+        if entry.received_count as usize != entry.received.len() {
+            return None;
+        }
+        let done = ReassembledFrame {
+            frame_index: packet.frame_index,
+            pts: entry.pts,
+            complete_at: entry.last_arrival.max(arrival),
+            is_keyframe: entry.is_keyframe,
+            total_bytes: entry.bytes,
+        };
+        if let Some(frame) = self.pending.remove(&packet.frame_index) {
+            self.recycle(frame.received);
+        }
+        // Keep older incomplete frames: with NACK/RTX their missing
+        // fragments may still arrive, and the playout jitter buffer
+        // can decode them in capture order afterwards. Only evict
+        // frames that have fallen beyond any plausible repair horizon.
+        let horizon = packet.frame_index.saturating_sub(Self::REPAIR_HORIZON);
+        while let Some(oldest) = self.pending.first_entry() {
+            if *oldest.key() >= horizon {
+                break;
+            }
+            let evicted = oldest.remove();
+            self.recycle(evicted.received);
+        }
+        Some(done)
+    }
+
+    /// Parks a finished frame's bitmap for reuse, up to one repair
+    /// horizon's worth.
+    fn recycle(&mut self, bitmap: Vec<bool>) {
+        if self.spare.len() < Self::REPAIR_HORIZON as usize {
+            self.spare.push(bitmap);
         }
     }
 }

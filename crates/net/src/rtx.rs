@@ -255,6 +255,19 @@ impl NackGenerator {
     /// Collects the NACK batch due at `now`, if any. Each included seq
     /// consumes one retry and is rescheduled at `retry_interval`.
     pub fn poll(&mut self, now: Time) -> Option<NackBatch> {
+        let mut batch = NackBatch {
+            seqs: Vec::new(),
+            generated_at: now,
+        };
+        self.poll_into(now, &mut batch).then_some(batch)
+    }
+
+    /// [`NackGenerator::poll`] into a caller-owned batch, the hot-path
+    /// form: `batch.seqs` is cleared and refilled and `generated_at`
+    /// set, so a session recycling batch buffers stops allocating per
+    /// poll. Returns false, with `batch.seqs` empty, when `poll` would
+    /// return `None`.
+    pub fn poll_into(&mut self, now: Time, batch: &mut NackBatch) -> bool {
         // Abandon hopeless entries first.
         let give_up = self.give_up_after;
         let before = self.missing.len();
@@ -263,7 +276,8 @@ impl NackGenerator {
         });
         self.abandoned += (before - self.missing.len()) as u64;
 
-        let mut seqs = Vec::new();
+        let seqs = &mut batch.seqs;
+        seqs.clear();
         for (&seq, entry) in self.missing.iter_mut() {
             if entry.next_due <= now {
                 seqs.push(seq);
@@ -271,14 +285,9 @@ impl NackGenerator {
                 entry.next_due = now + self.retry_interval;
             }
         }
-        if seqs.is_empty() {
-            return None;
-        }
+        batch.generated_at = now;
         self.nacks_sent += seqs.len() as u64;
-        Some(NackBatch {
-            seqs,
-            generated_at: now,
-        })
+        !seqs.is_empty()
     }
 }
 

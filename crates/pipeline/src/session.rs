@@ -21,10 +21,10 @@ use ravel_net::{
     ChaosSchedule, ChaosSpec, ChaosTrace, CorruptSchedule, CorruptSpec, Delivery, FecDecoder,
     FecEncoder, FeedbackBuilder, FeedbackCorruptor, FeedbackReport, FeedbackValidator,
     ForwardChaos, FrameAssembler, Link, LinkConfig, MediaKind, NackBatch, NackGenerator, Pacer,
-    Packet, Packetizer, PliRequester, ReversePath, ReversePathConfig, RtxBuffer,
+    Packet, PacketResult, Packetizer, PliRequester, ReversePath, ReversePathConfig, RtxBuffer,
 };
 use ravel_obs::{ObsEvent, ObsLog, ObsMode};
-use ravel_sim::{ArenaStats, BoxPool, Dur, EventQueue, SeriesSet, Time};
+use ravel_sim::{ArenaStats, BoxPool, Dur, EventQueue, SeriesSet, Time, VecPool};
 use ravel_trace::BandwidthTrace;
 use ravel_video::{ContentClass, Resolution, VideoSource};
 
@@ -561,7 +561,7 @@ pub fn run_many<T: BandwidthTrace>(
 /// then pops and dispatches until the queue is empty. Once a session
 /// stops, its remaining events only count as in-flight leftovers.
 fn drive<T: BandwidthTrace>(population: &mut [SessionState<T>], ws: &mut KernelWorkspace) {
-    let KernelWorkspace { queue, pool } = ws;
+    let KernelWorkspace { queue, arena } = ws;
     queue.reset();
     for (session, state) in population.iter_mut().enumerate() {
         state.start(&mut TaggedSink {
@@ -575,36 +575,37 @@ fn drive<T: BandwidthTrace>(population: &mut [SessionState<T>], ws: &mut KernelW
         let state = &mut population[session as usize];
         if stopped[session as usize] {
             state.note_leftover(&event);
-            reclaim(event, pool);
+            arena.reclaim(event);
             continue;
         }
         let mut sink = TaggedSink { queue, session };
-        if let Step::Stop = state.step(scheduled.at, event, &mut sink, pool) {
+        if let Step::Stop = state.step(scheduled.at, event, &mut sink, arena) {
             stopped[session as usize] = true;
         }
     }
 }
 
 /// Reusable per-worker kernel scratch: the shared multi-session event
-/// queue and the boxed-payload arena.
+/// queue and the event-payload arena.
 ///
-/// A worker that drives batch after batch through one workspace gets
+/// A worker that drives run after run through one workspace gets
 /// allocation-free steady-state event processing: the queue's bucket
 /// `Vec`s keep their capacity across [`EventQueue::reset`], and the
-/// [`BoxPool`] free list carries recycled `EncodeDone` boxes from one
-/// batch into the next. The arena counters accumulate across batches —
-/// harvest them once per worker with [`KernelWorkspace::arena_stats`].
+/// arena's free lists carry recycled `EncodeDone` boxes, feedback
+/// report buffers and NACK batch buffers from one run into the next.
+/// The box counters accumulate across runs — harvest them once per
+/// worker with [`KernelWorkspace::arena_stats`].
 pub struct KernelWorkspace {
     queue: EventQueue<(u32, Event)>,
-    pool: BoxPool<EncodedFrame>,
+    arena: Arena,
 }
 
 impl KernelWorkspace {
-    /// A workspace whose arena recycles event payload boxes.
+    /// A workspace whose arena recycles event payloads.
     pub fn new() -> Self {
         KernelWorkspace {
             queue: EventQueue::new(),
-            pool: BoxPool::pooled(),
+            arena: Arena::new(true),
         }
     }
 
@@ -613,30 +614,26 @@ impl KernelWorkspace {
     pub fn allocating() -> Self {
         KernelWorkspace {
             queue: EventQueue::new(),
-            pool: BoxPool::disabled(),
+            arena: Arena::new(false),
         }
     }
 
-    /// Arena counters accumulated over every batch this workspace ran.
+    /// `EncodeDone` box counters accumulated over every run this
+    /// workspace drove.
     pub fn arena_stats(&self) -> ArenaStats {
-        self.pool.stats()
+        self.arena.frames.stats()
     }
 
     /// Discards all scratch state — used after an aborted (panicked)
-    /// batch leaves the queue and free list possibly inconsistent —
-    /// while carrying the arena's lifetime counters forward.
-    /// `outstanding` resets to zero: boxes that were live during the
-    /// unwind were dropped with the queue.
+    /// run leaves the queue and free lists possibly inconsistent —
+    /// while carrying the box counters forward. `outstanding` resets
+    /// to zero: boxes that were live during the unwind were dropped
+    /// with the queue.
     pub fn quarantine_reset(&mut self) {
-        let stats = self.pool.stats();
-        let pooled = self.pool.is_pooled();
+        let stats = self.arena.frames.stats();
         self.queue = EventQueue::new();
-        self.pool = if pooled {
-            BoxPool::pooled()
-        } else {
-            BoxPool::disabled()
-        };
-        self.pool.set_stats(ArenaStats {
+        self.arena = Arena::new(self.arena.frames.is_pooled());
+        self.arena.frames.set_stats(ArenaStats {
             outstanding: 0,
             ..stats
         });
@@ -649,10 +646,64 @@ impl Default for KernelWorkspace {
     }
 }
 
-/// Returns an event's boxed payload (if any) to the worker's arena.
-fn reclaim(event: Event, pool: &mut BoxPool<EncodedFrame>) {
-    if let Event::EncodeDone(frame) = event {
-        pool.recycle(frame);
+/// The free lists event payloads return to once their handler has run
+/// (or the event is discarded): `EncodeDone` boxes, `FeedbackArrive`
+/// report buffers and `NackArrive` batch buffers. A disabled arena
+/// allocates and drops every payload, the historical behaviour.
+struct Arena {
+    frames: BoxPool<EncodedFrame>,
+    reports: VecPool<PacketResult>,
+    nacks: VecPool<u64>,
+}
+
+impl Arena {
+    fn new(pooled: bool) -> Arena {
+        if pooled {
+            Arena {
+                frames: BoxPool::pooled(),
+                reports: VecPool::pooled(),
+                nacks: VecPool::pooled(),
+            }
+        } else {
+            Arena {
+                frames: BoxPool::disabled(),
+                reports: VecPool::disabled(),
+                nacks: VecPool::disabled(),
+            }
+        }
+    }
+
+    /// Returns an event's payload (if any) to its free list.
+    fn reclaim(&mut self, event: Event) {
+        match event {
+            Event::EncodeDone(frame) => self.frames.recycle(frame),
+            Event::FeedbackArrive(report) => self.reports.recycle(report.packets),
+            Event::NackArrive(batch) => self.nacks.recycle(batch.seqs),
+            _ => {}
+        }
+    }
+}
+
+/// Hands `emit` one copy of `payload` per reverse-path delivery
+/// instant, in delivery order. Copies before the last are filled from
+/// recycled `buffers`; the last takes `payload` itself, leaving it
+/// empty.
+fn fan_out<T: Copy>(
+    deliveries: [Option<Time>; 2],
+    payload: &mut Vec<T>,
+    buffers: &mut VecPool<T>,
+    mut emit: impl FnMut(Time, Vec<T>),
+) {
+    let mut deliveries = deliveries.into_iter().flatten().peekable();
+    while let Some(at) = deliveries.next() {
+        let copy = if deliveries.peek().is_some() {
+            let mut copy = buffers.take();
+            copy.extend_from_slice(payload);
+            copy
+        } else {
+            mem::take(payload)
+        };
+        emit(at, copy);
     }
 }
 
@@ -837,11 +888,12 @@ struct SessionState<T: BandwidthTrace> {
     series: SeriesSet,
     frames_encoded: u64,
     /// Hot-path scratch buffers, reused across the whole session so
-    /// packetization, pacer release, and NACK admission stop allocating
-    /// per event.
+    /// packetization, pacer release, NACK admission and FEC decoding
+    /// stop allocating per event.
     pkt_scratch: Vec<Packet>,
     release_scratch: Vec<Packet>,
     affordable_scratch: Vec<u64>,
+    fec_hits: Vec<u64>,
 
     // --- kernel ---------------------------------------------------------
     capture_end: Time,
@@ -988,6 +1040,7 @@ impl<T: BandwidthTrace> SessionState<T> {
             pkt_scratch: Vec::new(),
             release_scratch: Vec::new(),
             affordable_scratch: Vec::new(),
+            fec_hits: Vec::new(),
             capture_end,
             hard_end: capture_end + DRAIN_GRACE,
             cancelled: false,
@@ -1048,13 +1101,7 @@ impl<T: BandwidthTrace> SessionState<T> {
     /// chaos-segment announcements, then the event itself) matches the
     /// historical loop exactly, so guard trips and violation details
     /// are byte-identical.
-    fn step(
-        &mut self,
-        now: Time,
-        event: Event,
-        sink: &mut TaggedSink,
-        pool: &mut BoxPool<EncodedFrame>,
-    ) -> Step {
+    fn step(&mut self, now: Time, event: Event, sink: &mut TaggedSink, arena: &mut Arena) -> Step {
         self.popped += 1;
         if now < self.last_event_at {
             self.checker.violate(
@@ -1081,7 +1128,7 @@ impl<T: BandwidthTrace> SessionState<T> {
             );
             self.note_violations(now);
             self.note_leftover(&event);
-            reclaim(event, pool);
+            arena.reclaim(event);
             return Step::Stop;
         }
         if self.guard.over_horizon(now) {
@@ -1091,20 +1138,20 @@ impl<T: BandwidthTrace> SessionState<T> {
             );
             self.note_violations(now);
             self.note_leftover(&event);
-            reclaim(event, pool);
+            arena.reclaim(event);
             return Step::Stop;
         }
         if self.guard.cancelled(self.popped) {
             self.cancelled = true;
             self.note_leftover(&event);
-            reclaim(event, pool);
+            arena.reclaim(event);
             return Step::Stop;
         }
         if now > self.hard_end {
             // The popped event is past the session's end; if it was an
             // arrival, the packet is in flight for conservation.
             self.note_leftover(&event);
-            reclaim(event, pool);
+            arena.reclaim(event);
             return Step::Stop;
         }
         match self.cfg.inject {
@@ -1127,22 +1174,19 @@ impl<T: BandwidthTrace> SessionState<T> {
                 .record(now, || ObsEvent::ChaosSegmentEntered { kind, from, until });
             self.seg_cursor += 1;
         }
-        match event {
-            Event::Capture => self.on_capture(now, sink, pool),
-            Event::EncodeDone(encoded) => {
-                self.on_encode_done(now, &encoded, sink);
-                pool.recycle(encoded);
-            }
+        match &event {
+            Event::Capture => self.on_capture(now, sink, &mut arena.frames),
+            Event::EncodeDone(encoded) => self.on_encode_done(now, encoded, sink),
             Event::PacerTick => {
                 self.pacer_tick_pending = false;
                 self.release_pacer(sink, now);
             }
-            Event::Arrival(packet) => self.on_arrival(now, packet),
-            Event::FeedbackFlush => self.on_feedback_flush(now, sink),
-            Event::FeedbackArrive(report) => self.on_feedback_arrive(now, &report),
-            Event::NackPoll => self.on_nack_poll(now, sink),
+            Event::Arrival(packet) => self.on_arrival(now, *packet),
+            Event::FeedbackFlush => self.on_feedback_flush(now, sink, &mut arena.reports),
+            Event::FeedbackArrive(report) => self.on_feedback_arrive(now, report),
+            Event::NackPoll => self.on_nack_poll(now, sink, &mut arena.nacks),
             Event::AudioTick => self.on_audio_tick(now, sink),
-            Event::NackArrive(batch) => self.on_nack_arrive(now, &batch, sink),
+            Event::NackArrive(batch) => self.on_nack_arrive(now, batch, sink),
             Event::PliArrive => {
                 // Sender-side IDR generation, rate-limited so a burst of
                 // (possibly duplicated) PLIs coalesces into one keyframe.
@@ -1159,6 +1203,7 @@ impl<T: BandwidthTrace> SessionState<T> {
                 sink.push(now, Event::RunawayTick);
             }
         }
+        arena.reclaim(event);
         Step::Continue
     }
 
@@ -1267,20 +1312,10 @@ impl<T: BandwidthTrace> SessionState<T> {
         if self.cfg.enable_fec && packet.kind != MediaKind::Fec {
             // Every non-parity arrival in a covered span counts
             // toward that span's recovery bookkeeping.
-            for seq in self.fec_decoder.on_media_packet(packet.seq) {
-                if let Some(rec) = self.sent_video.get(seq) {
-                    self.nack_gen.on_packet(seq, now);
-                    if let Some(done) = self.assembler.push(&rec, now) {
-                        // Only a COMPLETE keyframe satisfies an
-                        // outstanding PLI (a lone fragment may
-                        // never assemble; retries must go on).
-                        if done.is_keyframe {
-                            self.pli.on_keyframe(rec.send_time);
-                        }
-                        self.completed.note(done.frame_index, done.complete_at);
-                    }
-                }
-            }
+            let mut hits = mem::take(&mut self.fec_hits);
+            self.fec_decoder.on_media_packet_into(packet.seq, &mut hits);
+            self.deliver_recovered(now, &hits);
+            self.fec_hits = hits;
         }
         match packet.kind {
             MediaKind::Audio => {
@@ -1288,17 +1323,10 @@ impl<T: BandwidthTrace> SessionState<T> {
                     .push((packet.pts, now.saturating_since(packet.pts)));
             }
             MediaKind::Fec => {
-                for seq in self.fec_decoder.on_parity_packet(&packet) {
-                    if let Some(rec) = self.sent_video.get(seq) {
-                        self.nack_gen.on_packet(seq, now);
-                        if let Some(done) = self.assembler.push(&rec, now) {
-                            if done.is_keyframe {
-                                self.pli.on_keyframe(rec.send_time);
-                            }
-                            self.completed.note(done.frame_index, done.complete_at);
-                        }
-                    }
-                }
+                let mut hits = mem::take(&mut self.fec_hits);
+                self.fec_decoder.on_parity_packet_into(&packet, &mut hits);
+                self.deliver_recovered(now, &hits);
+                self.fec_hits = hits;
             }
             MediaKind::Video => {
                 if let Some(done) = self.assembler.push(&packet, now) {
@@ -1311,7 +1339,31 @@ impl<T: BandwidthTrace> SessionState<T> {
         }
     }
 
-    fn on_feedback_flush(&mut self, now: Time, sink: &mut TaggedSink) {
+    /// Feeds FEC-recovered packets (by seq) to the receiver as if they
+    /// had arrived at `now`.
+    fn deliver_recovered(&mut self, now: Time, seqs: &[u64]) {
+        for &seq in seqs {
+            if let Some(rec) = self.sent_video.get(seq) {
+                self.nack_gen.on_packet(seq, now);
+                if let Some(done) = self.assembler.push(&rec, now) {
+                    // Only a COMPLETE keyframe satisfies an
+                    // outstanding PLI (a lone fragment may
+                    // never assemble; retries must go on).
+                    if done.is_keyframe {
+                        self.pli.on_keyframe(rec.send_time);
+                    }
+                    self.completed.note(done.frame_index, done.complete_at);
+                }
+            }
+        }
+    }
+
+    fn on_feedback_flush(
+        &mut self,
+        now: Time,
+        sink: &mut TaggedSink,
+        buffers: &mut VecPool<PacketResult>,
+    ) {
         let backlog = self.link.backlog_bytes(now);
         self.checker.check(
             Invariant::BoundedBacklog,
@@ -1324,7 +1376,12 @@ impl<T: BandwidthTrace> SessionState<T> {
             },
         );
         self.note_violations(now);
-        if let Some(report) = self.feedback.flush(now) {
+        let mut report = FeedbackReport {
+            report_seq: 0,
+            generated_at: now,
+            packets: buffers.take(),
+        };
+        if self.feedback.flush_into(now, &mut report) {
             // Reported losses mean some frame will be
             // undecodable: arm (or keep alive) the keyframe
             // request. It stays armed until a post-request
@@ -1335,14 +1392,22 @@ impl<T: BandwidthTrace> SessionState<T> {
             // Each delivered copy is corrupted independently — a
             // duplicated reverse path can deliver one honest and one
             // mutated copy of the same report.
-            for at in self.reverse.transit(now).into_iter().flatten() {
-                let mut copy = report.clone();
-                if let Some(c) = self.corruptor.as_mut() {
+            let (report_seq, generated_at) = (report.report_seq, report.generated_at);
+            let deliveries = self.reverse.transit(now);
+            let corruptor = &mut self.corruptor;
+            fan_out(deliveries, &mut report.packets, buffers, |at, packets| {
+                let mut copy = FeedbackReport {
+                    report_seq,
+                    generated_at,
+                    packets,
+                };
+                if let Some(c) = corruptor.as_mut() {
                     c.corrupt(&mut copy, now);
                 }
                 sink.push(at, Event::FeedbackArrive(copy));
-            }
+            });
         }
+        buffers.recycle(report.packets);
         // PLI emission (first send and backoff retries) shares
         // the feedback cadence — and the impaired reverse path.
         if self.pli.poll(now) {
@@ -1462,9 +1527,13 @@ impl<T: BandwidthTrace> SessionState<T> {
         }
     }
 
-    fn on_nack_poll(&mut self, now: Time, sink: &mut TaggedSink) {
+    fn on_nack_poll(&mut self, now: Time, sink: &mut TaggedSink, buffers: &mut VecPool<u64>) {
         let abandoned_before = self.nack_gen.abandoned();
-        let batch = self.nack_gen.poll(now);
+        let mut batch = NackBatch {
+            seqs: buffers.take(),
+            generated_at: now,
+        };
+        let due = self.nack_gen.poll_into(now, &mut batch);
         if self.nack_gen.abandoned() > abandoned_before {
             // RTX gave up on a gap: some frame will never
             // assemble and the reference chain will break when
@@ -1475,11 +1544,23 @@ impl<T: BandwidthTrace> SessionState<T> {
             // signal — recovery is the PLI path's job now.
             self.pli.request(now);
         }
-        if let Some(batch) = batch {
-            for at in self.reverse.transit(now).into_iter().flatten() {
-                sink.push(at, Event::NackArrive(batch.clone()));
-            }
+        if due {
+            fan_out(
+                self.reverse.transit(now),
+                &mut batch.seqs,
+                buffers,
+                |at, seqs| {
+                    sink.push(
+                        at,
+                        Event::NackArrive(NackBatch {
+                            seqs,
+                            generated_at: now,
+                        }),
+                    )
+                },
+            );
         }
+        buffers.recycle(batch.seqs);
         let next = now + NACK_POLL_EVERY;
         if next <= self.hard_end {
             sink.push(next, Event::NackPoll);

@@ -1,4 +1,5 @@
-//! A free-list pool for boxed event payloads.
+//! Free-list pools for event payloads: boxes ([`BoxPool`]) and
+//! variable-length buffers ([`VecPool`]).
 //!
 //! The session kernel boxes large event payloads (notably `EncodeDone`
 //! frames) so the event enum stays small, but at ~30 frames/s per session
@@ -139,9 +140,101 @@ impl<T> BoxPool<T> {
     }
 }
 
+/// A free list of emptied `Vec<T>` buffers, for event payloads that
+/// carry a variable-length list (feedback reports, NACK batches).
+///
+/// [`VecPool::take`] hands out an empty buffer, recycled when one is
+/// parked (its capacity kept); [`VecPool::recycle`] clears a buffer and
+/// parks it. A disabled pool hands out `Vec::new()` and drops what it
+/// is given, exactly like not pooling at all.
+///
+/// ```
+/// use ravel_sim::VecPool;
+///
+/// let mut pool: VecPool<u64> = VecPool::pooled();
+/// let mut a = pool.take();
+/// a.extend([1, 2, 3]);
+/// pool.recycle(a);
+/// let b = pool.take();      // the same buffer, emptied
+/// assert!(b.is_empty() && b.capacity() >= 3);
+/// ```
+#[derive(Debug)]
+pub struct VecPool<T> {
+    free: Vec<Vec<T>>,
+    enabled: bool,
+}
+
+/// Free-list cap of a [`VecPool`]: a session has a few reports and
+/// NACK batches in flight at once, so this bounds a population's
+/// parked buffers without pinning a burst's worth forever.
+const VEC_FREE_CAP: usize = 256;
+
+impl<T> VecPool<T> {
+    /// A pool that parks recycled buffers.
+    pub fn pooled() -> Self {
+        VecPool {
+            free: Vec::new(),
+            enabled: true,
+        }
+    }
+
+    /// A passthrough pool: `take` is `Vec::new()`, `recycle` drops.
+    pub fn disabled() -> Self {
+        VecPool {
+            free: Vec::new(),
+            enabled: false,
+        }
+    }
+
+    /// An empty buffer, recycled when one is parked.
+    pub fn take(&mut self) -> Vec<T> {
+        self.free.pop().unwrap_or_default()
+    }
+
+    /// Clears `buf` and parks it (or drops it when disabled or full).
+    pub fn recycle(&mut self, mut buf: Vec<T>) {
+        if self.enabled && self.free.len() < VEC_FREE_CAP && buf.capacity() > 0 {
+            buf.clear();
+            self.free.push(buf);
+        }
+    }
+
+    /// Number of buffers currently parked.
+    pub fn free_len(&self) -> usize {
+        self.free.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn vec_pool_reuses_buffers_up_to_its_cap() {
+        let mut pool: VecPool<u32> = VecPool::pooled();
+        let mut a = pool.take();
+        a.push(7);
+        let ptr = a.as_ptr();
+        pool.recycle(a);
+        let b = pool.take();
+        assert!(b.is_empty());
+        assert_eq!(b.as_ptr(), ptr, "buffer was not reused");
+        // Never-allocated buffers are not worth parking.
+        pool.recycle(Vec::new());
+        assert_eq!(pool.free_len(), 0);
+        for _ in 0..VEC_FREE_CAP + 10 {
+            pool.recycle(vec![1]);
+        }
+        assert_eq!(pool.free_len(), VEC_FREE_CAP);
+    }
+
+    #[test]
+    fn disabled_vec_pool_never_parks() {
+        let mut pool: VecPool<u32> = VecPool::disabled();
+        pool.recycle(vec![1, 2]);
+        assert_eq!(pool.free_len(), 0);
+        assert_eq!(pool.take().capacity(), 0);
+    }
 
     #[test]
     fn pooled_alloc_reuses_recycled_boxes() {

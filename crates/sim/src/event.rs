@@ -27,6 +27,7 @@
 //! tests below.
 
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use crate::time::Time;
@@ -251,11 +252,14 @@ impl<E> EventQueue<E> {
     /// the (possibly just advanced) cursor into their ring buckets.
     fn migrate_overflow(&mut self) {
         let horizon = self.cursor_day + NUM_BUCKETS as u64;
-        while let Some(top) = self.overflow.peek() {
+        loop {
+            let Some(top) = self.overflow.peek_mut() else {
+                break;
+            };
             if day_of(top.0.at) >= horizon {
                 break;
             }
-            let s = self.overflow.pop().expect("peeked").0;
+            let s = PeekMut::pop(top).0;
             let day = day_of(s.at);
             let slot = slot_of(day);
             self.buckets[slot].push(s);
@@ -269,10 +273,7 @@ impl<E> EventQueue<E> {
 
     /// Pops the earliest event, advancing the clock to its firing time.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
+        while self.len > 0 {
             if !self.overflow.is_empty() {
                 self.migrate_overflow();
             }
@@ -282,29 +283,49 @@ impl<E> EventQueue<E> {
                     self.buckets[slot].sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
                     self.cur_sorted = true;
                 }
-                let s = self.buckets[slot].pop().expect("non-empty bucket");
-                if self.buckets[slot].is_empty() {
-                    self.unmark(slot);
+                if let Some(s) = self.buckets[slot].pop() {
+                    if self.buckets[slot].is_empty() {
+                        self.unmark(slot);
+                    }
+                    self.len -= 1;
+                    self.now = s.at;
+                    self.popped += 1;
+                    return Some(s);
                 }
-                self.len -= 1;
-                self.now = s.at;
-                self.popped += 1;
-                return Some(s);
             }
             // Current bucket exhausted: advance the cursor to the next
             // occupied slot, or jump to the overflow frontier if the ring
             // has gone quiet.
             self.cur_sorted = false;
             match self.next_occupied_distance() {
-                Some(0) => unreachable!("current slot checked above"),
+                Some(0) => self.clear_stale_bit(slot),
                 Some(d) => self.cursor_day += d,
-                None => {
-                    let top = self
-                        .overflow
-                        .peek()
-                        .expect("len > 0 with empty ring implies overflow");
-                    self.cursor_day = day_of(top.0.at);
-                }
+                None => self.cursor_day = self.overflow_frontier(),
+            }
+        }
+        None
+    }
+
+    /// The cursor's slot is marked occupied but its bucket is empty:
+    /// clear the bit so the bitmap again marks exactly the non-empty
+    /// buckets. Unreachable while push and pop keep them in step.
+    #[cold]
+    fn clear_stale_bit(&mut self, slot: usize) {
+        self.unmark(slot);
+    }
+
+    /// The day of the earliest overflow event, for a cursor whose ring
+    /// has gone quiet. If the overflow is empty too, `len` counted
+    /// events that are nowhere: it settles to zero (ending `pop`'s
+    /// loop, so `len`/`is_empty` tell the truth again) and the cursor
+    /// stays. Unreachable while push and pop keep the count in step.
+    #[cold]
+    fn overflow_frontier(&mut self) -> u64 {
+        match self.overflow.peek() {
+            Some(top) => day_of(top.0.at),
+            None => {
+                self.len = 0;
+                self.cursor_day
             }
         }
     }
@@ -314,13 +335,16 @@ impl<E> EventQueue<E> {
         if self.len == 0 {
             return None;
         }
-        let ring = self.next_occupied_distance().map(|d| {
+        let ring = self.next_occupied_distance().and_then(|d| {
             let bucket = &self.buckets[slot_of(self.cursor_day + d)];
-            if d == 0 && self.cur_sorted {
-                bucket.last().expect("occupied").at
+            let head = if d == 0 && self.cur_sorted {
+                bucket.last().map(|s| s.at)
             } else {
-                bucket.iter().map(|s| s.at).min().expect("occupied")
-            }
+                bucket.iter().map(|s| s.at).min()
+            };
+            // A set bit over an empty bucket would hide later buckets:
+            // answer from a full scan instead of trusting the bitmap.
+            head.or_else(|| self.buckets.iter().flatten().map(|s| s.at).min())
         });
         let over = self.overflow.peek().map(|e| e.0.at);
         match (ring, over) {
@@ -365,6 +389,38 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
     use crate::time::Dur;
+
+    /// The bitmap and the pending count are kept consistent by every
+    /// push and pop; these pin what `pop` and `peek_time` do if either
+    /// ever drifts, instead of panicking mid-simulation.
+    #[test]
+    fn stale_occupancy_bit_is_cleared_not_trusted() {
+        let mut q = EventQueue::new();
+        q.push(Time::from_millis(5), "a");
+        q.push(Time::from_millis(9), "b");
+        // A bit with no events behind it, on the cursor's own slot and
+        // on a slot between the cursor and the first real event.
+        q.mark(slot_of(q.cursor_day));
+        q.mark(slot_of(q.cursor_day + 2));
+        assert_eq!(q.peek_time(), Some(Time::from_millis(5)));
+        assert_eq!(q.pop().map(|s| s.event), Some("a"));
+        assert_eq!(q.pop().map(|s| s.event), Some("b"));
+        assert!(q.pop().is_none());
+        assert_eq!(q.occupied, [0; BITMAP_WORDS]);
+    }
+
+    #[test]
+    fn stale_pending_count_settles_to_empty() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.push(Time::from_millis(3), 1);
+        q.len += 2;
+        assert_eq!(q.pop().map(|s| s.event), Some(1));
+        assert!(q.pop().is_none());
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        q.push(Time::from_millis(4), 2);
+        assert_eq!(q.pop().map(|s| s.event), Some(2));
+    }
 
     #[test]
     fn pops_in_time_order() {

@@ -29,7 +29,7 @@ pub mod rng;
 pub mod series;
 pub mod time;
 
-pub use arena::{ArenaStats, BoxPool};
+pub use arena::{ArenaStats, BoxPool, VecPool};
 pub use event::{EventQueue, Scheduled};
 pub use rng::Rng;
 pub use series::{SeriesSet, TimeSeries};
